@@ -10,8 +10,8 @@ key-step labels. The pieces, roughly in pipeline order:
 - :mod:`rgwot.solver`: the entropic fused transport solver.
 - :mod:`rgwot.losses` / :mod:`rgwot.encoder` / :mod:`rgwot.training`:
   the contrastive objective and the two-layer encoder trained with it.
-- :mod:`rgwot.segmentation`: clustering plus graph-cut smoothing into
-  key-step labels, and step orderings per video.
+- :mod:`rgwot.segmentation`: clustering plus exact chain Potts smoothing
+  into key-step labels, and step orderings per video.
 - :mod:`rgwot.evaluation`: Hungarian-matched precision/recall/F1/IoU.
 - :mod:`rgwot.synth`: synthetic task generator used by tests and the CLI.
 """

@@ -270,12 +270,3 @@ else:
 def active_backend() -> str:
     return BACKEND
 
-
-def worker_count() -> int:
-    """Worker cap for data-parallel per-video work (RGWOT_THREADS, default 1)."""
-    raw = os.environ.get("RGWOT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -1,26 +1,25 @@
-"""Key-step discovery: clustering, per-video graph-cut labeling, ordering.
+"""Key-step discovery: clustering, per-video Potts smoothing, ordering.
 
 Frames of all videos are clustered jointly (k-means++ seeding, Lloyd
-refinement). Each video is then labeled by alpha-expansion over a chain
-graph whose unary cost is the squared distance to the cluster centers and
-whose pairwise cost is a Potts penalty on consecutive frames; every binary
-expansion move is solved exactly by a BFS augmenting-path max-flow. Key-step
-order within a video is the ascending mean normalized frame time of each
-label; the task-level order ranks per-video orders by frequency.
+refinement). Each video is then labeled by the exact minimum of a chain
+energy whose unary cost is the squared distance to the cluster centers and
+whose pairwise cost is a Potts penalty on consecutive frames; a Viterbi DP
+with the Potts min trick finds it in O(N*K). Key-step order within a video
+is the ascending mean normalized frame time of each label; the task-level
+order ranks per-video orders by frequency.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import FrameFeatures, Hyperparams, LabelSequence
 from .encoder import Encoder
-from .errors import DegenerateData, EmptyVideo
-from .kernels import worker_count
+from .errors import ConfigError, DegenerateData, EmptyVideo
 from .priors import background_mask, build_cost_bundle
 from .solver import solve_fgwot
 
@@ -92,6 +91,9 @@ class GraphCutProblem:
     unary: np.ndarray
     pairwise_weight: float
 
+    def __post_init__(self):
+        _check_potts_weight(self.pairwise_weight)
+
     @property
     def n(self) -> int:
         return self.unary.shape[0]
@@ -101,141 +103,51 @@ class GraphCutProblem:
         return self.unary.shape[1]
 
 
+def _check_potts_weight(beta: float) -> None:
+    # the min trick below is exact only for a finite, non-negative weight
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ConfigError(f"Potts weight must be finite and >= 0, got {beta}")
+
+
 def labeling_energy(problem: GraphCutProblem, labels: np.ndarray) -> float:
     e = float(problem.unary[np.arange(problem.n), labels].sum())
     e += problem.pairwise_weight * float(np.count_nonzero(labels[:-1] != labels[1:]))
     return e
 
 
-class _MaxFlow:
-    """Edmonds-Karp max flow; nodes n and n+1 are source and sink."""
+def alpha_expansion(problem: GraphCutProblem):
+    """Exact minimum of the chain Potts energy by a forward DP and a backtrack.
 
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes + 2
-        self.source = n_nodes
-        self.sink = n_nodes + 1
-        self.head: list[list[int]] = [[] for _ in range(self.n)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
+    The name predates the DP and is kept for callers. Each step costs O(K):
+    cost[i, l] = unary[i, l] + min(cost[i-1, l], min(cost[i-1]) + beta), and
+    a frame keeps its label when staying costs no more than switching.
 
-    def add_edge(self, u: int, v: int, c: float) -> None:
-        if c <= 0.0:
-            return
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
-
-    def run(self) -> None:
-        while True:
-            parent_edge = [-1] * self.n
-            parent_edge[self.source] = -2
-            queue = [self.source]
-            qi = 0
-            while qi < len(queue) and parent_edge[self.sink] == -1:
-                u = queue[qi]
-                qi += 1
-                for eid in self.head[u]:
-                    v = self.to[eid]
-                    if parent_edge[v] == -1 and self.cap[eid] > 1e-14:
-                        parent_edge[v] = eid
-                        queue.append(v)
-            if parent_edge[self.sink] == -1:
-                return
-            bottleneck = np.inf
-            v = self.sink
-            while v != self.source:
-                eid = parent_edge[v]
-                bottleneck = min(bottleneck, self.cap[eid])
-                v = self.to[eid ^ 1]
-            v = self.sink
-            while v != self.source:
-                eid = parent_edge[v]
-                self.cap[eid] -= bottleneck
-                self.cap[eid ^ 1] += bottleneck
-                v = self.to[eid ^ 1]
-
-    def source_side(self) -> np.ndarray:
-        seen = np.zeros(self.n, dtype=bool)
-        seen[self.source] = True
-        queue = [self.source]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if not seen[v] and self.cap[eid] > 1e-14:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
-
-
-def _expansion_move(problem: GraphCutProblem, labels: np.ndarray, alpha: int) -> np.ndarray:
-    """Optimal binary move: each frame keeps its label or switches to alpha."""
-    n = problem.n
-    beta = problem.pairwise_weight
-    phi0 = problem.unary[np.arange(n), labels].copy()  # cost of keeping
-    phi1 = problem.unary[:, alpha].copy()  # cost of switching
-    fixed = labels == alpha
-    flow = _MaxFlow(n)
-    for i in range(n - 1):
-        j = i + 1
-        if fixed[i] and fixed[j]:
-            continue
-        if fixed[i]:
-            # neighbour already alpha: keeping label_j != alpha pays the Potts cost
-            phi0[j] += beta if labels[j] != alpha else 0.0
-            continue
-        if fixed[j]:
-            phi0[i] += beta if labels[i] != alpha else 0.0
-            continue
-        a = beta if labels[i] != labels[j] else 0.0
-        b = beta if labels[i] != alpha else 0.0
-        c = beta if labels[j] != alpha else 0.0
-        d = 0.0
-        # E(bi,bj) = a + (c-a)[bi] + (d-c)[bj] + (b+c-a-d)[bi=0][bj=1]
-        phi1[i] += c - a
-        phi1[j] += d - c
-        flow.add_edge(i, j, b + c - a - d)
-    for i in range(n):
-        if fixed[i]:
-            continue
-        lo = min(phi0[i], phi1[i])
-        flow.add_edge(flow.source, i, phi1[i] - lo)
-        flow.add_edge(i, flow.sink, phi0[i] - lo)
-    flow.run()
-    keep = flow.source_side()
-    new_labels = labels.copy()
-    for i in range(n):
-        if fixed[i] or not keep[i]:
-            new_labels[i] = alpha
-    return new_labels
-
-
-def alpha_expansion(problem: GraphCutProblem, max_sweeps: int = 10):
-    """Iterated expansion moves from the unary argmin labeling.
-
-    Returns (labels, energy_trace); the trace starts at the initial energy
-    and appends one entry per accepted move, never increasing.
+    Returns (labels, energy_trace). The trace starts at the energy of the
+    unary argmin labeling; the DP labeling is appended and returned only when
+    it is lower by more than 1e-12, so the argmin labeling is kept on ties.
     """
-    labels = np.argmin(problem.unary, axis=1)
-    energy = labeling_energy(problem, labels)
-    trace = [energy]
-    for _ in range(max_sweeps):
-        improved = False
-        for alpha in range(problem.k):
-            candidate = _expansion_move(problem, labels, alpha)
-            cand_energy = labeling_energy(problem, candidate)
-            if cand_energy < energy - 1e-12:
-                labels, energy = candidate, cand_energy
-                trace.append(energy)
-                improved = True
-        if not improved:
-            break
-    assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:])), "energy increased"
+    unary = problem.unary
+    beta = problem.pairwise_weight
+    labels = np.argmin(unary, axis=1)
+    trace = [labeling_energy(problem, labels)]
+    if problem.n < 2:
+        return labels, trace
+    back = np.empty(unary.shape, dtype=np.int64)
+    cost = unary[0].astype(np.float64)
+    for i in range(1, problem.n):
+        best = int(np.argmin(cost))
+        switch = cost[best] + beta
+        stay = cost <= switch
+        back[i] = np.where(stay, np.arange(problem.k), best)
+        cost = unary[i] + np.minimum(cost, switch)
+    path = np.empty(problem.n, dtype=np.int64)
+    path[-1] = np.argmin(cost)
+    for i in range(problem.n - 1, 0, -1):
+        path[i - 1] = back[i, path[i]]
+    energy = labeling_energy(problem, path)
+    if energy < trace[0] - 1e-12:
+        labels = path
+        trace.append(energy)
     return labels, trace
 
 
@@ -289,6 +201,7 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     With use_masks, background frames are detected by pairwise alignment
     first, excluded from clustering, and forced to label -1.
     """
+    _check_potts_weight(beta)  # before the alignment solves, not after
     embeddings = [enc.forward(v.data)[0] for v in videos]
     if use_masks and hyper.use_virtual and hyper.zeta > 0 and len(videos) >= 2:
         masks = compute_segment_masks(embeddings, hyper)
@@ -299,25 +212,14 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
         raise DegenerateData("all frames masked as background")
     centers = init_centers(pool, k, rng)
 
-    def cut_one(idx: int):
-        e = embeddings[idx]
-        unary = np.sum((e[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels, trace = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
-        labels = labels.astype(np.int64)
-        labels[masks[idx]] = -1
-        return labels, trace
-
-    workers = min(worker_count(), len(videos))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            cut = list(ex.map(cut_one, range(len(videos))))
-    else:
-        cut = [cut_one(i) for i in range(len(videos))]
-
     label_seqs = []
     orders = []
     traces = []
-    for video, (labels, trace) in zip(videos, cut):
+    for video, e, mask in zip(videos, embeddings, masks):
+        unary = np.sum((e[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels, trace = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
+        labels = labels.astype(np.int64)
+        labels[mask] = -1
         label_seqs.append(LabelSequence(video_id=video.video_id, labels=labels))
         if np.any(labels != -1):
             orders.append(tuple(keystep_order(labels)))

@@ -233,11 +233,10 @@ def _train_and_measure(feats, k, xi):
     return mean_dist, distinct
 
 
-def test_criterion_05_anti_collapse(scoreboard, monkeypatch):
+def test_criterion_05_anti_collapse(scoreboard):
     """On the collapse-prone profile, enabling the temporal regularizer gives
     strictly larger final mean pairwise embedding distance and strictly more
     distinct predicted steps per video than disabling it."""
-    monkeypatch.setenv("RGWOT_THREADS", "1")
     feats, _, manifest = generate(profiles()["collapse-prone"])
     dist_off, distinct_off = _train_and_measure(feats, manifest.k, xi=0)
     dist_on, distinct_on = _train_and_measure(feats, manifest.k, xi=1)
@@ -265,11 +264,10 @@ def _run_pipeline(profile_name):
     return rep.macro.f1, rep.macro.iou, elapsed
 
 
-def test_criterion_06_desk_benchmark(scoreboard, monkeypatch):
+def test_criterion_06_desk_benchmark(scoreboard):
     """Full pipeline, single-threaded, at most ten minutes of CPU time per
     profile: easy reaches macro F1 >= 0.75 and IoU >= 0.60, hard reaches
     F1 >= 0.50."""
-    monkeypatch.setenv("RGWOT_THREADS", "1")
     f1_easy, iou_easy, t_easy = _run_pipeline("easy")
     f1_hard, iou_hard, t_hard = _run_pipeline("hard")
     ok = (f1_easy >= 0.75 and iou_easy >= 0.60 and t_easy <= 600.0

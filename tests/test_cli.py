@@ -120,6 +120,13 @@ class TestTrain:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_beta_errors(self, task_dir, trained_dir, tmp_path, capsys):
+        rc = main(["segment", "--manifest", str(task_dir),
+                   "--checkpoint", str(trained_dir / "encoder.rgwf"),
+                   "--out", str(tmp_path / "seg"), "--beta", "-1"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestAlign:
     def test_writes_coupling_trace_and_svg(self, task_dir, trained_dir, tmp_path, capsys):

@@ -109,22 +109,3 @@ class TestBackendSelection:
         assert self._backend_in_subprocess(None) == "numba"
         assert self._backend_in_subprocess("1") == "numba"
 
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("RGWOT_THREADS", raising=False)
-        assert kernels.worker_count() == 1
-
-    def test_parses_positive(self, monkeypatch):
-        monkeypatch.setenv("RGWOT_THREADS", "4")
-        assert kernels.worker_count() == 4
-
-    def test_floors_at_one(self, monkeypatch):
-        monkeypatch.setenv("RGWOT_THREADS", "0")
-        assert kernels.worker_count() == 1
-        monkeypatch.setenv("RGWOT_THREADS", "-3")
-        assert kernels.worker_count() == 1
-
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("RGWOT_THREADS", "many")
-        assert kernels.worker_count() == 1
