@@ -7,8 +7,7 @@ Subcommands:
   segment  label every video with a trained encoder; reports and SVG bands
   eval     score predicted labels (from --pred-dir or a fresh segmentation)
 
-Every run is deterministic given --seed. RGWOT_NUMBA=0 switches the
-numeric kernels to the numpy backend.
+Every run is deterministic given --seed.
 """
 
 from __future__ import annotations

@@ -51,7 +51,10 @@ def write_rgwf(path, matrix) -> None:
 
 def read_rgwf(path):
     """Read an .rgwf file back into a float32 (N, D) array."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if len(raw) < _HEADER.size:
         raise MalformedHeader(f"{path}: truncated header ({len(raw)} bytes)")
     magic, version, n, d = _HEADER.unpack_from(raw)
@@ -142,16 +145,20 @@ def save_labels(labels: LabelSequence, path) -> None:
 
 def load_labels(path, video_id: str | None = None) -> LabelSequence:
     vid = video_id if video_id is not None else Path(path).stem
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(int(text))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: not an integer label: {text!r}") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: not an integer label: {text!r}") from None
     return LabelSequence(video_id=vid, labels=np.asarray(values, dtype=np.int64))
 
 
@@ -213,13 +220,17 @@ def load_manifest(path) -> TaskManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     for key in ("task_name", "k", "videos"):
         if key not in doc:
             raise ParseError(f"{path}: missing required field {key!r}")
     if not isinstance(doc["k"], int):
         raise ParseError(f"{path}: k must be an integer")
+    if not (isinstance(doc["videos"], list) and all(isinstance(v, dict) for v in doc["videos"])):
+        raise ParseError(f"{path}: videos must be a list of objects")
     base = path.resolve().parent
     videos = []
     for raw in doc["videos"]:
@@ -277,7 +288,6 @@ class Hyperparams:
     k: int = 7
     sampled_frames: int = 32
     epochs: int = 300
-    batch_size: int = 2
     learning_rate: float = 1e-4
     weight_decay: float = 1e-5
     sigma: float = 300.0
@@ -301,7 +311,6 @@ class Hyperparams:
             (self.k >= 1, "k must be >= 1"),
             (self.sampled_frames >= 2, "sampled_frames must be >= 2"),
             (self.epochs >= 0, "epochs must be >= 0"),
-            (self.batch_size == 2, "batch_size: only paired training (2) is supported"),
             (self.learning_rate > 0, "learning_rate must be positive"),
             (self.weight_decay >= 0, "weight_decay must be >= 0"),
             (self.sigma >= 0, "sigma must be >= 0"),

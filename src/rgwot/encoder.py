@@ -135,8 +135,12 @@ def load_encoder(path) -> Encoder:
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.is_file():
         raise MalformedHeader(f"checkpoint sidecar missing: {sidecar_path}")
-    meta = json.loads(sidecar_path.read_text())
-    f, h, d = meta["feature_dim"], meta["hidden_dim"], meta["embed_dim"]
+    try:
+        meta = json.loads(sidecar_path.read_text())
+        f, h, d = (int(meta[key]) for key in ("feature_dim", "hidden_dim", "embed_dim"))
+        seed = int(meta.get("seed", 0))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise MalformedHeader(f"{sidecar_path}: bad checkpoint sidecar: {exc!r}") from None
     sizes = [f * h, h, h * d, d]
     if flat.size != sum(sizes):
         raise MalformedHeader(
@@ -145,5 +149,5 @@ def load_encoder(path) -> Encoder:
     chunks = np.split(flat, np.cumsum(sizes)[:-1])
     return Encoder(
         chunks[0].reshape(f, h), chunks[1], chunks[2].reshape(h, d), chunks[3],
-        seed=int(meta.get("seed", 0)),
+        seed=seed,
     )

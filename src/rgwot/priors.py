@@ -83,20 +83,17 @@ def structural_priors(n: int, m: int, r: float) -> tuple[BandSpec, BandSpec]:
 class CostBundle:
     """Everything the solver needs for one video pair.
 
-    C is the visual cost, R the temporal prior, C_tilde = C + rho * R, all
-    over real frames plus (after augmentation) one virtual row and column.
+    C_tilde = C + rho * R is the fused cost (visual cost C, temporal prior
+    R) over real frames plus (after augmentation) one virtual row and column.
     Band specs cover real frames only; the virtual frame carries no
     structural cost.
     """
 
-    C: np.ndarray
-    R: np.ndarray
     C_tilde: np.ndarray
     band_x: BandSpec
     band_y: BandSpec
     p: np.ndarray
     q: np.ndarray
-    rho: float
     virtual: bool = False
 
     @property
@@ -112,17 +109,13 @@ def build_cost_bundle(X, Y, hyper) -> CostBundle:
     """Assemble the fused cost for a pair of embedding matrices."""
     c = visual_cost(X, Y)
     n, m = c.shape
-    r_mat = temporal_prior(n, m)
     band_x, band_y = structural_priors(n, m, hyper.r)
     bundle = CostBundle(
-        C=c,
-        R=r_mat,
-        C_tilde=c + hyper.rho * r_mat,
+        C_tilde=c + hyper.rho * temporal_prior(n, m),
         band_x=band_x,
         band_y=band_y,
         p=np.full(n, 1.0 / n),
         q=np.full(m, 1.0 / m),
-        rho=hyper.rho,
     )
     if hyper.use_virtual:
         bundle = augment_virtual(bundle)
@@ -132,8 +125,7 @@ def build_cost_bundle(X, Y, hyper) -> CostBundle:
 def augment_virtual(bundle: CostBundle) -> CostBundle:
     """Append one virtual frame per side as a background sink.
 
-    The virtual row/column of C_tilde is the mean of the real entries; R is
-    padded with zeros so C_tilde = C + rho * R keeps holding elementwise.
+    The virtual row/column of C_tilde is the mean of the real entries.
     Marginals become uniform over N+1 (respectively M+1) frames.
     """
     if bundle.virtual:
@@ -142,14 +134,8 @@ def augment_virtual(bundle: CostBundle) -> CostBundle:
     fill = float(bundle.C_tilde.mean())
     ct = np.full((n + 1, m + 1), fill)
     ct[:n, :m] = bundle.C_tilde
-    c = np.full((n + 1, m + 1), fill)
-    c[:n, :m] = bundle.C
-    r_mat = np.zeros((n + 1, m + 1))
-    r_mat[:n, :m] = bundle.R
     return replace(
         bundle,
-        C=c,
-        R=r_mat,
         C_tilde=ct,
         p=np.full(n + 1, 1.0 / (n + 1)),
         q=np.full(m + 1, 1.0 / (m + 1)),

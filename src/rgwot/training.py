@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_model import FrameFeatures, Hyperparams
-from .encoder import AdamState, Encoder, adam_update, save_encoder
+from .encoder import AdamState, Encoder, adam_update
 from .errors import DimMismatch, InsufficientFrames
 from .losses import LossReport, total_loss
 from .priors import background_mask, build_cost_bundle
@@ -99,12 +99,11 @@ def train_step(state: TrainState, feats_x: FrameFeatures, feats_y: FrameFeatures
 
 
 def train(videos: list[FrameFeatures], hyper: Hyperparams, rng: np.random.Generator,
-          out_dir=None, on_target=None) -> tuple[Encoder, list[LossReport]]:
+          on_target=None) -> tuple[Encoder, list[LossReport]]:
     """Train an encoder on all videos of one task.
 
     Every epoch shuffles the videos and walks them in pairs (an odd video
-    sits the epoch out). With out_dir set, the final checkpoint and the loss
-    curve CSV are written there.
+    sits the epoch out).
     """
     widths = {v.feature_dim for v in videos}
     if len(widths) != 1:
@@ -120,13 +119,6 @@ def train(videos: list[FrameFeatures], hyper: Hyperparams, rng: np.random.Genera
         order = rng.permutation(len(videos))
         for a, b in zip(order[0::2], order[1::2]):
             train_step(state, videos[a], videos[b], hyper, rng, on_target=on_target)
-    if out_dir is not None:
-        from pathlib import Path
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_encoder(state.encoder, out / "encoder.rgwf", hyper)
-        write_loss_csv(state.history, out / "loss_curve.csv", hyper)
     return state.encoder, state.history
 
 

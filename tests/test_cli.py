@@ -1,10 +1,13 @@
 """End-to-end command line tests, run in-process through main()."""
 
+import json
+
 import numpy as np
 import pytest
 
 from rgwot.cli import main
-from rgwot.data_model import load_labels, load_manifest
+from rgwot.data_model import Hyperparams, load_labels, load_manifest
+from rgwot.encoder import load_encoder
 from rgwot.synth import make_task, write_task
 
 
@@ -75,7 +78,9 @@ class TestTrain:
         curve = (trained_dir / "loss_curve.csv").read_text().splitlines()
         assert curve[0].startswith("# hyperparams:")
         assert curve[1] == "step,align,reg_x,reg_y,total"
-        assert len(curve) > 2
+        assert len(curve) == 2 + 4  # 2 epochs x 2 pairs = 4 steps
+        enc = load_encoder(trained_dir / "encoder.rgwf")
+        assert (enc.feature_dim, enc.embed_dim) == (6, Hyperparams().embed_dim)
 
     def test_deterministic_given_seed(self, task_dir, tmp_path):
         outs = []
@@ -241,6 +246,48 @@ class TestSegmentAndEval:
         rc = main(["eval", "--manifest", str(task_dir), "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _argv_reading_bad_file(case, task_dir, trained_dir, tmp_path):
+    """A command line whose run reads one missing or malformed outside file."""
+    manifest, ckpt = task_dir, trained_dir / "encoder.rgwf"
+    out = ["--out", str(tmp_path / "out")]
+    if case == "missing-checkpoint":
+        ckpt = tmp_path / "missing.rgwf"
+    elif case in ("sidecar-without-hidden-dim", "sidecar-not-json"):
+        meta = json.loads((trained_dir / "encoder.rgwf.json").read_text())
+        del meta["hidden_dim"]
+        text = json.dumps(meta) if case == "sidecar-without-hidden-dim" else "{not json"
+        ckpt = tmp_path / "encoder.rgwf"
+        ckpt.write_bytes((trained_dir / "encoder.rgwf").read_bytes())
+        (tmp_path / "encoder.rgwf.json").write_text(text)
+    elif case in ("missing-pred-dir", "prediction-not-utf8"):
+        preds = tmp_path / "preds"
+        if case == "prediction-not-utf8":
+            preds.mkdir()
+            first = load_manifest(task_dir).videos[0].video_id
+            (preds / f"{first}.labels.txt").write_bytes(b"\xff\xfe0\n")
+        return ["eval", "--manifest", str(manifest), "--pred-dir", str(preds)] + out
+    else:
+        raw = {"manifest-not-utf8": b"\xff\xfe{",
+               "manifest-not-an-object": b"5",
+               "videos-not-a-list": b'{"task_name": "t", "k": 3, "videos": 5}',
+               "video-entries-not-objects": b'{"task_name": "t", "k": 3, "videos": [5, 6]}'}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(raw[case])
+    return ["segment", "--manifest", str(manifest), "--checkpoint", str(ckpt)] + out
+
+
+@pytest.mark.parametrize("case", [
+    "missing-checkpoint", "sidecar-without-hidden-dim", "sidecar-not-json",
+    "missing-pred-dir", "prediction-not-utf8", "manifest-not-utf8",
+    "manifest-not-an-object", "videos-not-a-list", "video-entries-not-objects",
+])
+def test_bad_input_file_is_an_error_not_a_crash(case, task_dir, trained_dir, tmp_path,
+                                                 capsys):
+    rc = main(_argv_reading_bad_file(case, task_dir, trained_dir, tmp_path))
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
 
 
 class TestParser:

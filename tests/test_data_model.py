@@ -240,7 +240,7 @@ class TestLoadTask:
 class TestHyperparams:
     def test_defaults(self):
         h = Hyperparams()
-        assert h.k == 7 and h.sampled_frames == 32 and h.batch_size == 2
+        assert h.k == 7 and h.sampled_frames == 32
         assert h.learning_rate == 1e-4 and h.weight_decay == 1e-5
         assert h.sigma == 300.0 and h.lam == 2.0
         assert h.embed_dim == 128 and h.hidden_dim == 256
@@ -251,7 +251,7 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [
         {"alpha": 1.5}, {"alpha": -0.1}, {"r": 0.0}, {"r": 1.2}, {"epsilon": 0.0},
         {"zeta": -0.2}, {"zeta": 1.5}, {"rho": -1.0}, {"tau": 0.0}, {"epochs": -1},
-        {"k": 0}, {"sampled_frames": 1}, {"learning_rate": 0.0}, {"batch_size": 3},
+        {"k": 0}, {"sampled_frames": 1}, {"learning_rate": 0.0}, {"solver_max_outer": 0},
         {"solver_tol": 0.0}, {"lam": -1.0}, {"sigma": -1.0},
     ])
     def test_invalid_values(self, bad):

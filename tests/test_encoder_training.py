@@ -314,16 +314,6 @@ class TestTrainingLoop:
             assert np.array_equal(enc_a.params()[name], enc_b.params()[name])
         assert [h.total for h in hist_a] == [h.total for h in hist_b]
 
-    def test_out_dir_artifacts(self, rng, desk_hyper, tmp_path):
-        videos = toy_videos(rng)
-        enc, history = train(videos, desk_hyper, rng, out_dir=tmp_path / "run")
-        back = load_encoder(tmp_path / "run" / "encoder.rgwf")
-        assert back.embed_dim == desk_hyper.embed_dim
-        lines = (tmp_path / "run" / "loss_curve.csv").read_text().splitlines()
-        assert lines[0].startswith("# hyperparams:")
-        assert lines[1] == "step,align,reg_x,reg_y,total"
-        assert len(lines) == 2 + len(history)
-
     def test_loss_csv_rows_recompose(self, rng, desk_hyper, tmp_path):
         videos = toy_videos(rng)
         _, history = train(videos, desk_hyper, rng)

@@ -145,8 +145,10 @@ class TestStructuralPriors:
 class TestCostBundle:
     def test_fused_cost_identity(self, rng):
         hyper = Hyperparams(use_virtual=False)
-        b = build_cost_bundle(rng.normal(size=(6, 4)), rng.normal(size=(9, 4)), hyper)
-        assert np.allclose(b.C_tilde, b.C + hyper.rho * b.R, atol=1e-14)
+        x, y = rng.normal(size=(6, 4)), rng.normal(size=(9, 4))
+        b = build_cost_bundle(x, y, hyper)
+        expected = visual_cost(x, y) + hyper.rho * temporal_prior(6, 9)
+        assert np.allclose(b.C_tilde, expected, atol=1e-14)
         assert b.p.sum() == pytest.approx(1.0) and b.q.sum() == pytest.approx(1.0)
         assert not b.virtual and b.n_real == 6 and b.m_real == 9
 
@@ -180,9 +182,11 @@ class TestAugmentVirtual:
         assert np.array_equal(b.C_tilde[:-1, :-1], raw.C_tilde)
 
     def test_fused_identity_still_holds(self, rng):
-        b = augment_virtual(self._bundle(rng))
-        assert np.allclose(b.C_tilde, b.C + b.rho * b.R, atol=1e-14)
-        assert b.R.min() >= 0.0 and b.R.max() < 1.0
+        x, y = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        hyper = Hyperparams(use_virtual=False)
+        b = augment_virtual(build_cost_bundle(x, y, hyper))
+        expected = visual_cost(x, y) + hyper.rho * temporal_prior(4, 5)
+        assert np.allclose(b.C_tilde[:-1, :-1], expected, atol=1e-14)
 
     def test_band_params_unchanged(self, rng):
         raw = self._bundle(rng)
