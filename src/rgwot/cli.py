@@ -5,9 +5,10 @@ Subcommands:
   train    train an encoder on a manifest, checkpoint it with a loss curve
   align    solve one video pair, dump the coupling CSV and an SVG heat band
   segment  label every video with a trained encoder; reports and SVG bands
-  eval     score predicted labels (from --pred-dir or a fresh segmentation)
+  eval     score a directory of predicted labels against the manifest's
 
-Every run is deterministic given --seed.
+Each subcommand takes only the flags its output depends on, and the same
+command line always writes the same bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import Hyperparams, load_labels, load_manifest, load_task, save_labels
-from .encoder import Encoder, load_encoder, save_encoder
+from .encoder import load_encoder, save_encoder
 from .errors import RgwotError
 from .evaluation import evaluate, write_metrics_csv
 from .segmentation import segment_task
@@ -34,36 +35,40 @@ from .viz import (
 )
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=None, help="number of key steps (manifest wins if unset)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--sampled-frames", dest="sampled_frames", type=int, default=None)
-    p.add_argument("--no-virtual", action="store_true", help="disable the virtual background frame")
+# flag -> argparse settings; dest is the Hyperparams field the flag sets
+_HYPER_FLAGS = {
+    "--k": dict(dest="k", type=int, help="number of key steps (default: the manifest's k)"),
+    "--alpha": dict(dest="alpha", type=float),
+    "--epsilon": dict(dest="epsilon", type=float),
+    "--rho": dict(dest="rho", type=float),
+    "--r": dict(dest="r", type=float),
+    "--zeta": dict(dest="zeta", type=float),
+    "--xi": dict(dest="xi", type=float),
+    "--tau": dict(dest="tau", type=float),
+    "--sigma": dict(dest="sigma", type=float),
+    "--lambda": dict(dest="lam", type=float),
+    "--epochs": dict(dest="epochs", type=int),
+    "--lr": dict(dest="learning_rate", type=float),
+    "--sampled-frames": dict(dest="sampled_frames", type=int),
+    "--no-virtual": dict(dest="use_virtual", action="store_false",
+                         help="disable the virtual background frame"),
+}
+_SOLVER_FLAGS = "--alpha --epsilon --rho --r --no-virtual"
+_TRAINING_FLAGS = "--zeta --xi --tau --sigma --lambda --epochs --lr --sampled-frames"
 
 
-def _hyper_from_args(args, manifest=None) -> Hyperparams:
-    overrides = {}
-    for name in ("alpha", "epsilon", "rho", "r", "zeta", "xi", "tau", "sigma",
-                 "lam", "epochs", "learning_rate", "sampled_frames"):
-        value = getattr(args, name, None)
+def _add_hyper_flags(p: argparse.ArgumentParser, flags: str) -> None:
+    for flag in flags.split():
+        p.add_argument(flag, default=None, **_HYPER_FLAGS[flag])
+
+
+def _hyper_from_args(args, manifest) -> Hyperparams:
+    """Hyperparams from the flags given; k falls back to the manifest's."""
+    overrides = {"k": manifest.k}
+    for spec in _HYPER_FLAGS.values():
+        value = getattr(args, spec["dest"], None)
         if value is not None:
-            overrides[name] = value
-    if getattr(args, "k", None) is not None:
-        overrides["k"] = args.k
-    elif manifest is not None:
-        overrides["k"] = manifest.k
-    if getattr(args, "no_virtual", False):
-        overrides["use_virtual"] = False
+            overrides[spec["dest"]] = value
     return Hyperparams(**overrides)
 
 
@@ -83,29 +88,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-couplings", action="store_true",
                    help="dump the coupling and objective trace of every training step")
-    _add_hyper_flags(p)
+    _add_hyper_flags(p, f"{_SOLVER_FLAGS} {_TRAINING_FLAGS}")
 
     p = sub.add_parser("align", help="solve one video pair")
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pair", nargs=2, metavar=("X", "Y"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_hyper_flags(p)
+    _add_hyper_flags(p, _SOLVER_FLAGS)
 
-    for name in ("segment", "eval"):
-        p = sub.add_parser(name, help=f"{name} a task")
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--checkpoint", default=None)
-        p.add_argument("--beta", type=float, default=1.0, help="Potts smoothing weight")
-        p.add_argument("--no-masks", action="store_true",
-                       help="skip alignment-based background masking")
-        if name == "eval":
-            p.add_argument("--pred-dir", default=None,
-                           help="directory of <video_id>.labels.txt predictions")
-        _add_hyper_flags(p)
+    p = sub.add_parser("segment", help="label every video of a task")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--beta", type=float, default=1.0, help="Potts smoothing weight")
+    p.add_argument("--no-masks", action="store_true",
+                   help="skip alignment-based background masking")
+    _add_hyper_flags(p, f"--k {_SOLVER_FLAGS} --zeta")
+
+    p = sub.add_parser("eval", help="score predicted labels against the manifest's")
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--pred-dir", required=True,
+                   help="directory of <video_id>.labels.txt predictions")
+    p.add_argument("--out", required=True)
+    _add_hyper_flags(p, "--k")
     return parser
 
 
@@ -171,7 +178,13 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _segment(args, need_metrics: bool) -> int:
+def _write_scores(manifest, predictions, gt_labels, k: int, out: Path, header: str) -> None:
+    report = evaluate(predictions, list(gt_labels.values()), k)
+    write_metrics_csv(report, out / "metrics.csv", manifest.task_name, header)
+    print(f"macro F1 {report.macro.f1:.4f}  IoU {report.macro.iou:.4f}")
+
+
+def cmd_segment(args) -> int:
     manifest = load_manifest(args.manifest)
     hyper = _hyper_from_args(args, manifest)
     features, gt_labels = load_task(manifest)
@@ -180,51 +193,33 @@ def _segment(args, need_metrics: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     header = f"task={manifest.task_name} k={hyper.k} beta={args.beta} seed={args.seed} " \
         + hyper_header(hyper)
-
-    pred_dir = getattr(args, "pred_dir", None)
-    if pred_dir is not None:
-        predictions = []
-        for v in manifest.videos:
-            path = Path(pred_dir) / f"{v.video_id}.labels.txt"
-            predictions.append(load_labels(path, v.video_id))
-    else:
-        if args.checkpoint is None:
-            print("error: need --checkpoint (or --pred-dir for eval)", file=sys.stderr)
-            return 1
-        enc = load_encoder(args.checkpoint)
-        rng = np.random.default_rng(args.seed)
-        result = segment_task(videos, enc, hyper.k, args.beta, hyper, rng,
-                              use_masks=not args.no_masks)
-        predictions = list(result.labels)
-        for seq in predictions:
-            save_labels(seq, out / f"{seq.video_id}.labels.txt")
-        write_order_report(result, out / "order_report.txt", header)
-        rows = []
-        for seq in predictions:
-            rows.append((seq.video_id, seq.labels))
-            if seq.video_id in gt_labels:
-                rows.append((f"{seq.video_id} (gt)", gt_labels[seq.video_id].labels))
-        segmentation_svg(rows, hyper.k, out / "segmentation.svg")
-
-    have_gt = all(v.video_id in gt_labels for v in manifest.videos)
-    if have_gt:
-        report = evaluate(predictions, [gt_labels[v.video_id] for v in manifest.videos],
-                          hyper.k)
-        write_metrics_csv(report, out / "metrics.csv", manifest.task_name, header)
-        print(f"macro F1 {report.macro.f1:.4f}  IoU {report.macro.iou:.4f}")
-    elif need_metrics:
-        print("error: manifest has no ground-truth labels to evaluate against",
-              file=sys.stderr)
-        return 1
+    enc = load_encoder(args.checkpoint)
+    rng = np.random.default_rng(args.seed)
+    result = segment_task(videos, enc, hyper.k, args.beta, hyper, rng,
+                          use_masks=not args.no_masks)
+    rows = []
+    for seq in result.labels:
+        save_labels(seq, out / f"{seq.video_id}.labels.txt")
+        rows.append((seq.video_id, seq.labels))
+        if seq.video_id in gt_labels:
+            rows.append((f"{seq.video_id} (gt)", gt_labels[seq.video_id].labels))
+    write_order_report(result, out / "order_report.txt", header)
+    segmentation_svg(rows, hyper.k, out / "segmentation.svg")
+    if all(v.video_id in gt_labels for v in manifest.videos):
+        _write_scores(manifest, list(result.labels), gt_labels, hyper.k, out, header)
     return 0
 
 
-def cmd_segment(args) -> int:
-    return _segment(args, need_metrics=False)
-
-
 def cmd_eval(args) -> int:
-    return _segment(args, need_metrics=True)
+    manifest = load_manifest(args.manifest)
+    k = manifest.k if args.k is None else args.k
+    _, gt_labels = load_task(manifest)  # evaluate names a video without labels
+    predictions = [load_labels(Path(args.pred_dir) / f"{v.video_id}.labels.txt", v.video_id)
+                   for v in manifest.videos]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_scores(manifest, predictions, gt_labels, k, out, f"task={manifest.task_name} k={k}")
+    return 0
 
 
 def main(argv=None) -> int:

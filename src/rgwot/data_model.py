@@ -35,6 +35,7 @@ from .errors import (
 RGWF_MAGIC = b"RGWF"
 RGWF_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+BACKGROUND = -1  # the label of a frame that belongs to no key step
 
 
 def write_rgwf(path, matrix) -> None:
@@ -113,19 +114,16 @@ class FrameEmbeddings:
 
 @dataclass(frozen=True)
 class LabelSequence:
-    """One integer key-step label per frame; background_code marks background."""
+    """One integer key-step label per frame; BACKGROUND marks background."""
 
     video_id: str
     labels: np.ndarray  # (N,) int
-    background_code: int = -1
 
     def __post_init__(self):
         if self.labels.ndim != 1:
             raise ShapeMismatch(f"{self.video_id}: labels must be 1-D")
-        if self.labels.size and self.labels.min() < self.background_code:
-            raise ParseError(
-                f"{self.video_id}: label below background code {self.background_code}"
-            )
+        if self.labels.size and self.labels.min() < BACKGROUND:
+            raise ParseError(f"{self.video_id}: label below background code {BACKGROUND}")
 
 
 def save_features(features: FrameFeatures, path) -> None:

@@ -2,9 +2,10 @@
 
 Predicted cluster ids carry no meaning on their own, so a single Hungarian
 matching over the whole task (concatenated videos, cost = negative frame
-overlap) maps predictions onto ground-truth steps before counting. Frames
-whose ground truth is background (-1) are excluded from every count by
-default; predicted background on a real frame still costs a false negative.
+overlap) maps predictions onto ground-truth steps before counting. With
+fewer clusters than steps, the steps left unmatched score 0. Frames whose
+ground truth is background (-1) are excluded from every count; predicted
+background on a real frame still costs a false negative.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data_model import LabelSequence
-from .errors import LengthMismatch, ShapeMismatch
+from .data_model import BACKGROUND, LabelSequence
+from .errors import ConfigError, LengthMismatch, ShapeMismatch
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -89,8 +90,10 @@ def _step_metrics(pred, gt, steps) -> dict[int, StepMetrics]:
 
 
 def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence],
-             k: int, exclude_background: bool = True) -> MetricsReport:
+             k: int) -> MetricsReport:
     """Hungarian-matched precision/recall/F1/IoU, macro over gt-present steps."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     gt_by_id = {seq.video_id: seq for seq in ground_truth}
     pred_parts = []
     gt_parts = []
@@ -104,8 +107,7 @@ def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence]
             raise LengthMismatch(
                 f"{pred.video_id}: {pred.labels.size} predictions vs {gt.labels.size} labels"
             )
-        keep = gt.labels != gt.background_code if exclude_background \
-            else np.ones(gt.labels.size, dtype=bool)
+        keep = gt.labels != BACKGROUND
         pred_parts.append(pred.labels[keep])
         gt_parts.append(gt.labels[keep])
         video_slices[pred.video_id] = (offset, offset + int(keep.sum()))
@@ -113,14 +115,15 @@ def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence]
     pred_all = np.concatenate(pred_parts) if pred_parts else np.empty(0, dtype=np.int64)
     gt_all = np.concatenate(gt_parts) if gt_parts else np.empty(0, dtype=np.int64)
 
-    overlap = np.zeros((k, k))
-    valid = (pred_all >= 0) & (pred_all < k)
+    steps = int(gt_all.max()) + 1 if gt_all.size else 0
+    overlap = np.zeros((k, max(k, steps)))
+    valid = (pred_all != BACKGROUND) & (pred_all < k)
     np.add.at(overlap, (pred_all[valid], gt_all[valid]), 1.0)
-    matching = hungarian(-overlap)
-    remap = {pred_id: gt_id for pred_id, gt_id in matching}
+    # padding rows are clusters that do not exist; the steps they take stay unmatched
+    matching = [(p, g) for p, g in hungarian(pad_square(-overlap, pad_value=0.0)) if p < k]
 
-    mapped = np.full(pred_all.shape, -1, dtype=np.int64)
-    for pred_id, gt_id in remap.items():
+    mapped = np.full(pred_all.shape, BACKGROUND, dtype=np.int64)
+    for pred_id, gt_id in matching:
         mapped[pred_all == pred_id] = gt_id
 
     present = sorted(int(s) for s in np.unique(gt_all))

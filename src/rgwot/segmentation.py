@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import FrameFeatures, Hyperparams, LabelSequence
+from .data_model import BACKGROUND, FrameFeatures, Hyperparams, LabelSequence
 from .encoder import Encoder
 from .errors import ConfigError, DegenerateData, EmptyVideo
 from .priors import background_mask, build_cost_bundle
@@ -151,11 +151,11 @@ def alpha_expansion(problem: GraphCutProblem):
     return labels, trace
 
 
-def keystep_order(labels: np.ndarray, background_code: int = -1) -> list[int]:
+def keystep_order(labels: np.ndarray) -> list[int]:
     """Key steps sorted by mean normalized (1-based) frame time; ties by id."""
     arr = np.asarray(labels)
     n = arr.size
-    present = sorted(set(int(v) for v in arr if v != background_code))
+    present = sorted(set(int(v) for v in arr if v != BACKGROUND))
     if not present:
         raise EmptyVideo("no non-background frames")
     means = []
@@ -199,7 +199,7 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     """Full segmentation of one task with a trained encoder.
 
     With use_masks, background frames are detected by pairwise alignment
-    first, excluded from clustering, and forced to label -1.
+    first, excluded from clustering, and forced to label BACKGROUND.
     """
     _check_potts_weight(beta)  # before the alignment solves, not after
     embeddings = [enc.forward(v.data)[0] for v in videos]
@@ -219,9 +219,9 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
         unary = np.sum((e[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels, trace = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
         labels = labels.astype(np.int64)
-        labels[mask] = -1
+        labels[mask] = BACKGROUND
         label_seqs.append(LabelSequence(video_id=video.video_id, labels=labels))
-        if np.any(labels != -1):
+        if np.any(labels != BACKGROUND):
             orders.append(tuple(keystep_order(labels)))
         else:
             orders.append(tuple())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import FrameFeatures, LabelSequence, TaskManifest, VideoEntry, save_features, save_labels, save_manifest
+from .data_model import BACKGROUND, FrameFeatures, LabelSequence, TaskManifest, VideoEntry, save_features, save_labels, save_manifest
 from .errors import ConfigError
 
 _MIN_SEGMENT = 4
@@ -164,7 +164,7 @@ def generate(task: SynthTask):
             for _ in range(length):
                 if task.background_rate > 0.0 and rng.random() < task.background_rate:
                     frames.append(_background_frame(task, rng))
-                    labels.append(-1)
+                    labels.append(BACKGROUND)
                 frames.append(task.step_means[step]
                               + task.noise_sigma * rng.normal(size=task.feature_dim))
                 labels.append(step)
@@ -181,7 +181,7 @@ def planted_order(labels: LabelSequence) -> list[int]:
     order = []
     for v in labels.labels:
         step = int(v)
-        if step == labels.background_code:
+        if step == BACKGROUND:
             continue
         if not order or order[-1] != step:
             order.append(step)

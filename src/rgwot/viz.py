@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data_model import BACKGROUND
+
 
 def step_palette(k: int) -> list[str]:
     """K well-spread hex colors; background uses a fixed grey."""
@@ -61,7 +63,7 @@ def alignment_svg(T: np.ndarray, path, cell: int = 6) -> None:
 
 def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path,
                      row_height: int = 22, width: int = 720) -> None:
-    """One colored band per (name, labels) row; -1 renders grey."""
+    """One colored band per (name, labels) row; BACKGROUND renders grey."""
     palette = step_palette(k)
     height = row_height * len(rows)
     lines = [
@@ -77,7 +79,7 @@ def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path,
             if i < n and labels[i] == labels[start]:
                 continue
             label = int(labels[start])
-            color = BACKGROUND_COLOR if label < 0 else palette[label % k]
+            color = BACKGROUND_COLOR if label == BACKGROUND else palette[label % k]
             x0 = start * width / n
             x1 = i * width / n
             lines.append(

@@ -211,7 +211,7 @@ class TestSegmentAndEval:
 
     def test_segment_without_checkpoint_errors(self, task_dir, tmp_path, capsys):
         rc = main(["segment", "--manifest", str(task_dir), "--out", str(tmp_path)])
-        assert rc == 1
+        assert rc == 2
         assert "checkpoint" in capsys.readouterr().err
 
     def test_eval_with_predictions_directory(self, task_dir, tmp_path, capsys):
@@ -232,20 +232,49 @@ class TestSegmentAndEval:
         macro = [r for r in rows if r.startswith("toy,macro,")]
         assert macro == ["toy,macro,1.000000,1.000000,1.000000,1.000000"]
 
-    def test_eval_scores_a_fresh_segmentation(self, task_dir, trained_dir,
-                                              tmp_path, capsys):
-        out = tmp_path / "eval-fresh"
-        rc = main(["eval", "--manifest", str(task_dir),
-                   "--checkpoint", str(trained_dir / "encoder.rgwf"),
-                   "--out", str(out)] + SEGMENT_FLAGS)
+    def test_eval_metrics_header_names_task_and_k(self, segmented, task_dir, tmp_path):
+        out = tmp_path / "eval"
+        rc = main(["eval", "--manifest", str(task_dir), "--pred-dir", str(segmented),
+                   "--out", str(out)])
+        assert rc == 0
+        assert (out / "metrics.csv").read_text().startswith("# task=toy k=3\n")
+
+    def test_eval_with_fewer_clusters_than_steps(self, task_dir, tmp_path, capsys):
+        # one cluster for all frames: it overlaps step 2, which k=2 has no row for
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for entry in load_manifest(task_dir).videos:
+            n_frames = load_labels(entry.labels_path).labels.size
+            (preds / f"{entry.video_id}.labels.txt").write_text("0\n" * n_frames)
+        rc = main(["eval", "--manifest", str(task_dir), "--pred-dir", str(preds),
+                   "--out", str(tmp_path / "eval"), "--k", "2"])
         assert rc == 0
         assert "macro F1" in capsys.readouterr().out
-        assert (out / "metrics.csv").exists()
 
     def test_eval_without_inputs_errors(self, task_dir, tmp_path, capsys):
         rc = main(["eval", "--manifest", str(task_dir), "--out", str(tmp_path)])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert rc == 2
+        assert "--pred-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("removed", [
+    "segment --epochs 5", "segment --sigma 1", "align --seed 0", "align --zeta 0",
+    "align --k 3", "train --k 3", "eval --checkpoint CKPT", "eval --beta 1", "eval --seed 0",
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(removed, task_dir, trained_dir,
+                                                          segmented, tmp_path, capsys):
+    ckpt = str(trained_dir / "encoder.rgwf")
+    command, *flag = removed.replace("CKPT", ckpt).split()
+    rest = {
+        "train": TRAIN_FLAGS,
+        "align": ["--checkpoint", ckpt, "--pair", "video_00", "video_01"],
+        "segment": ["--checkpoint", ckpt] + SEGMENT_FLAGS,
+        "eval": ["--pred-dir", str(segmented)],
+    }[command]
+    rc = main([command, "--manifest", str(task_dir), "--out", str(tmp_path / "out")]
+              + rest + flag)
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def _argv_reading_bad_file(case, task_dir, trained_dir, tmp_path):
@@ -268,6 +297,13 @@ def _argv_reading_bad_file(case, task_dir, trained_dir, tmp_path):
             first = load_manifest(task_dir).videos[0].video_id
             (preds / f"{first}.labels.txt").write_bytes(b"\xff\xfe0\n")
         return ["eval", "--manifest", str(manifest), "--pred-dir", str(preds)] + out
+    elif case == "eval-manifest-without-labels":
+        videos = [{"id": v.video_id, "features": str(v.features_path)}
+                  for v in load_manifest(task_dir).videos]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"task_name": "toy", "k": 3, "videos": videos}))
+        # the task directory holds a <video_id>.labels.txt for every video
+        return ["eval", "--manifest", str(manifest), "--pred-dir", str(task_dir.parent)] + out
     else:
         raw = {"manifest-not-utf8": b"\xff\xfe{",
                "manifest-not-an-object": b"5",
@@ -282,6 +318,7 @@ def _argv_reading_bad_file(case, task_dir, trained_dir, tmp_path):
     "missing-checkpoint", "sidecar-without-hidden-dim", "sidecar-not-json",
     "missing-pred-dir", "prediction-not-utf8", "manifest-not-utf8",
     "manifest-not-an-object", "videos-not-a-list", "video-entries-not-objects",
+    "eval-manifest-without-labels",
 ])
 def test_bad_input_file_is_an_error_not_a_crash(case, task_dir, trained_dir, tmp_path,
                                                  capsys):

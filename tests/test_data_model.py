@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgwot.data_model import (
+    BACKGROUND,
     FrameFeatures,
     Hyperparams,
     LabelSequence,
@@ -127,7 +128,7 @@ class TestLabelsFile:
         path.write_text("0\n0\n1\n-1\n")
         seq = load_labels(path, "x")
         assert seq.labels.tolist() == [0, 0, 1, -1]
-        assert seq.background_code == -1
+        assert seq.labels[3] == BACKGROUND
 
     def test_round_trip(self, tmp_path):
         seq = LabelSequence("v", np.array([2, -1, 0, 1]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rgwot.data_model import LabelSequence
-from rgwot.errors import LengthMismatch, ShapeMismatch
+from rgwot.errors import ConfigError, LengthMismatch, ShapeMismatch
 from rgwot.evaluation import (
     MetricsReport,
     evaluate,
@@ -96,12 +96,6 @@ class TestEvaluate:
         report = evaluate(pred_junk_on_bg, gt, k=2)
         assert report.macro.f1 == 1.0  # bg frames never counted
 
-    def test_background_frames_counted_when_included(self):
-        gt = [seq("a", [0, -1, -1, 1])]
-        pred = [seq("a", [0, 1, 0, 1])]
-        report = evaluate(pred, gt, k=2, exclude_background=False)
-        assert report.macro.f1 < 1.0
-
     def test_predicted_background_on_real_frame_is_a_miss(self):
         gt = [seq("a", [0, 0, 1, 1])]
         pred = [seq("a", [-1, 0, 1, 1])]
@@ -133,6 +127,21 @@ class TestEvaluate:
         for m in starved:
             assert (m.precision, m.recall, m.f1, m.iou) == (0.0, 0.0, 0.0, 0.0)
             assert m.tp == 0 and m.fp == 0 and m.fn > 0
+
+    def test_fewer_clusters_than_steps_leaves_steps_unmatched(self):
+        gt = [seq("a", [0, 0, 1, 1, 2, 2, 2, 3, 3, 4])]
+        pred = [seq("a", [0, 0, 1, 1, 2, 2, 2, 2, 2, 2])]
+        report = evaluate(pred, gt, k=3)
+        assert report.matching == ((0, 0), (1, 1), (2, 2))
+        assert sorted(report.per_step) == [0, 1, 2, 3, 4]
+        assert report.per_step[2].f1 == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert report.per_step[3].f1 == report.per_step[4].f1 == 0.0
+        assert report.macro.f1 == pytest.approx(8.0 / 15.0, abs=1e-12)
+
+    def test_k_below_one_is_a_config_error(self):
+        gt = [seq("a", [0, 0, 1, 1])]
+        with pytest.raises(ConfigError):
+            evaluate(gt, gt, k=0)
 
     def test_unknown_video(self):
         with pytest.raises(LengthMismatch):
