@@ -149,6 +149,9 @@ def cmd_train(args) -> int:
     write_loss_csv(history, out / "loss_curve.csv", hyper)
     final = history[-1].total if history else float("nan")
     print(f"trained {hyper.epochs} epochs ({len(history)} steps), final loss {final:.4f}")
+    masked = sum(rep.masked for rep in history)
+    sampled = sum(rep.frames for rep in history)
+    print(f"masked {masked} of {sampled} sampled frames")
     print(f"checkpoint: {out / 'encoder.rgwf'}")
     return 0
 

@@ -20,21 +20,12 @@ from .errors import ConfigError, LengthMismatch, ShapeMismatch
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum-cost perfect matching of a square cost matrix."""
+    """Minimum-cost matching of a 2-D cost matrix; covers every row when rows <= columns."""
     c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ShapeMismatch(f"matching needs a square cost matrix, got {c.shape}")
+    if c.ndim != 2:
+        raise ShapeMismatch(f"matching needs a 2-D cost matrix, got {c.shape}")
     rows, cols = linear_sum_assignment(c)
     return sorted(zip(rows.tolist(), cols.tolist()))
-
-
-def pad_square(cost: np.ndarray, pad_value: float = 1e9) -> np.ndarray:
-    """Pad a rectangular cost matrix to square with a large constant."""
-    c = np.asarray(cost, dtype=np.float64)
-    n = max(c.shape)
-    out = np.full((n, n), pad_value)
-    out[: c.shape[0], : c.shape[1]] = c
-    return out
 
 
 @dataclass(frozen=True)
@@ -119,8 +110,8 @@ def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence]
     overlap = np.zeros((k, max(k, steps)))
     valid = (pred_all != BACKGROUND) & (pred_all < k)
     np.add.at(overlap, (pred_all[valid], gt_all[valid]), 1.0)
-    # padding rows are clusters that do not exist; the steps they take stay unmatched
-    matching = [(p, g) for p, g in hungarian(pad_square(-overlap, pad_value=0.0)) if p < k]
+    # every cluster gets a step; with fewer clusters than steps the rest stay unmatched
+    matching = hungarian(-overlap)
 
     mapped = np.full(pred_all.shape, BACKGROUND, dtype=np.int64)
     for pred_id, gt_id in matching:

@@ -27,22 +27,16 @@ def softmax_sim(X, Y, tau: float) -> np.ndarray:
     return z
 
 
-def _crop_virtual(t_star, shape):
-    n, m = shape
-    if t_star.shape == (n, m):
-        return t_star
-    if t_star.shape == (n + 1, m + 1):
-        return t_star[:n, :m]
-    raise ShapeMismatch(f"target plan {t_star.shape} does not fit similarities {shape}")
-
-
 def align_loss(P, t_star, masks=None) -> tuple[float, np.ndarray]:
     """Cross entropy -sum T*_ij log P_ij and its gradient w.r.t. the logits.
 
-    T* may carry a virtual row/column (dropped here). Masked frames are
-    removed from the double sum; P stays a softmax over all real columns.
+    T* is a plan over real frames only, of P's shape (pass `coupling.real`,
+    not a plan that still carries the virtual row and column). Masked frames
+    are removed from the double sum; P stays a softmax over all real columns.
     """
-    w = np.array(_crop_virtual(t_star, P.shape), dtype=np.float64)
+    if np.shape(t_star) != P.shape:
+        raise ShapeMismatch(f"target plan {np.shape(t_star)} does not fit similarities {P.shape}")
+    w = np.array(t_star, dtype=np.float64)
     if masks is not None:
         mask_x, mask_y = masks
         w[np.asarray(mask_x, dtype=bool), :] = 0.0
@@ -80,12 +74,16 @@ class LossReport:
     total: float
     grad_x: np.ndarray
     grad_y: np.ndarray
+    masked: int  # frames of X and Y the masks dropped
+    frames: int  # frames of X and Y scored, masked ones included
 
 
 def total_loss(X, Y, t_star, masks, hyper, positions_x=None, positions_y=None) -> LossReport:
     """align + xi * (reg(X) + reg(Y)) with gradients w.r.t. both embeddings.
 
-    t_star is treated as a constant (no gradient flows through the solver).
+    t_star is the solved plan over real frames (pass `coupling.real`) and is
+    treated as a constant (no gradient flows through the solver). The report
+    also counts how many of the frames of X and Y the masks dropped.
     """
     x = np.asarray(X, dtype=np.float64)
     y = np.asarray(Y, dtype=np.float64)
@@ -107,4 +105,6 @@ def total_loss(X, Y, t_star, masks, hyper, positions_x=None, positions_y=None) -
         total=align + hyper.xi * (reg_x + reg_y),
         grad_x=grad_x,
         grad_y=grad_y,
+        masked=0 if masks is None else int(np.count_nonzero(mask_x) + np.count_nonzero(mask_y)),
+        frames=x.shape[0] + y.shape[0],
     )

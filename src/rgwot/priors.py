@@ -153,13 +153,8 @@ def background_mask(coupling, zeta: float) -> tuple[np.ndarray, np.ndarray]:
     zeta share of the row. Columns are scored symmetrically. zeta = 0
     disables masking: a probability can never fall below zero.
     """
-    t = coupling.T
-    n_all, m_all = t.shape
-    n = n_all - 1 if coupling.virtual else n_all
-    m = m_all - 1 if coupling.virtual else m_all
-    if zeta <= 0.0:
-        return np.zeros(n, dtype=bool), np.zeros(m, dtype=bool)
-    real = t[:n, :m]
+    t, real = coupling.T, coupling.real
+    n, m = real.shape
     row_total = t[:n, :].sum(axis=1)
     col_total = t[:, :m].sum(axis=0)
     row_score = real.max(axis=1) / np.where(row_total > 0, row_total, 1.0)

@@ -9,7 +9,7 @@ loop stops when the L1 change of T falls below the tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,11 @@ class Coupling:
     final_delta: float
     objective_trace: tuple[float, ...] = field(default_factory=tuple)
     virtual: bool = False
+
+    @property
+    def real(self) -> np.ndarray:
+        """T over real frames only: the virtual row and column dropped."""
+        return self.T[:-1, :-1] if self.virtual else self.T
 
 
 def _validate_marginals(G, p, q):
@@ -143,18 +148,10 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     eps = hyper.epsilon
     p, q = bundle.p, bundle.q
     if alpha == 0.0:
-        t, _, _, _, violation = _sinkhorn_core(
-            bundle.C_tilde, p, q, eps, hyper.solver_sinkhorn_iters, _inner_tol(hyper)
-        )
-        parts = fgwot_objective(bundle, t, alpha, eps)
-        return Coupling(
-            T=t,
-            outer_iterations=1,
-            converged=violation <= _inner_tol(hyper),
-            final_delta=0.0,
-            objective_trace=(parts.total,),
-            virtual=bundle.virtual,
-        )
+        plain = sinkhorn(bundle.C_tilde, p, q, eps, hyper.solver_sinkhorn_iters, _inner_tol(hyper))
+        parts = fgwot_objective(bundle, plain.T, alpha, eps)
+        return replace(plain, outer_iterations=1, final_delta=0.0,
+                       objective_trace=(parts.total,), virtual=bundle.virtual)
     t = np.outer(p, q)
     f = g = None
     trace = []

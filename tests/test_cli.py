@@ -95,6 +95,15 @@ class TestTrain:
         assert (outs[0] / "loss_curve.csv").read_text() \
             == (outs[1] / "loss_curve.csv").read_text()
 
+    @pytest.mark.parametrize("zeta, masked", [("0", 0), ("1", 96)])
+    def test_reports_masked_frames(self, task_dir, tmp_path, capsys, zeta, masked):
+        # 4 steps x (12 + 12) sampled frames; an entropic plan never puts a
+        # whole row on one column, so at zeta=1 every frame is masked
+        rc = main(["train", "--manifest", str(task_dir), "--out", str(tmp_path)]
+                  + TRAIN_FLAGS + ["--zeta", zeta])
+        assert rc == 0
+        assert f"masked {masked} of 96 sampled frames" in capsys.readouterr().out
+
     def test_dump_couplings_writes_per_step_files(self, task_dir, tmp_path):
         out = tmp_path / "dumped"
         rc = main(["train", "--manifest", str(task_dir), "--out", str(out),

@@ -12,10 +12,9 @@ from rgwot.encoder import (
     save_encoder,
 )
 from rgwot.errors import DimMismatch, InsufficientFrames, MalformedHeader, ZeroNormRow
-from rgwot.priors import visual_cost
+from rgwot.priors import background_mask, build_cost_bundle, visual_cost
+from rgwot.solver import solve_fgwot
 from rgwot.training import (
-    TrainState,
-    alignment_targets,
     loss_and_param_grads,
     sample_frames,
     train,
@@ -209,12 +208,22 @@ class TestSampleFrames:
         assert (np.abs(counts - 4000) < 4 * sigma).all()
 
 
+def step_target(enc, feats_x, feats_y, hyper, rng):
+    """Clip indices, solved coupling and masks of one step, built as train_step does."""
+    idx_x = sample_frames(feats_x.n_frames, hyper.sampled_frames, rng)
+    idx_y = sample_frames(feats_y.n_frames, hyper.sampled_frames, rng)
+    ex, _ = enc.forward(feats_x.data[idx_x])
+    ey, _ = enc.forward(feats_y.data[idx_y])
+    coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
+    return idx_x, idx_y, coupling, background_mask(coupling, hyper.zeta)
+
+
 class TestTrainingLoop:
     def test_alignment_targets_shapes(self, rng, desk_hyper):
         videos = toy_videos(rng)
         enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
                              desk_hyper.hidden_dim)
-        idx_x, idx_y, coupling, masks = alignment_targets(
+        idx_x, idx_y, coupling, masks = step_target(
             enc, videos[0], videos[1], desk_hyper, rng
         )
         assert len(idx_x) == len(idx_y) == desk_hyper.sampled_frames
@@ -228,7 +237,7 @@ class TestTrainingLoop:
         videos = toy_videos(rng)
         enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
                              desk_hyper.hidden_dim, seed=seed)
-        idx_x, idx_y, coupling, masks = alignment_targets(
+        idx_x, idx_y, coupling, masks = step_target(
             enc, videos[0], videos[1], desk_hyper, rng
         )
         clip_x, clip_y = videos[0].data[idx_x], videos[1].data[idx_y]
@@ -236,7 +245,7 @@ class TestTrainingLoop:
         totals = []
         for _ in range(30):
             report, grads = loss_and_param_grads(
-                enc, clip_x, clip_y, coupling.T, masks, desk_hyper,
+                enc, clip_x, clip_y, coupling.real, masks, desk_hyper,
                 idx_x.astype(np.float64), idx_y.astype(np.float64),
             )
             totals.append(report.total)
@@ -251,19 +260,19 @@ class TestTrainingLoop:
         hyper = desk_hyper.updated(sampled_frames=6, embed_dim=3, hidden_dim=5,
                                    sigma=2.0, tau=0.2, xi=0.5)
         enc = Encoder.create(4, embed_dim=3, hidden_dim=5, seed=1)
-        idx_x, idx_y, coupling, masks = alignment_targets(
+        idx_x, idx_y, coupling, masks = step_target(
             enc, videos[0], videos[1], hyper, rng
         )
         clip_x, clip_y = videos[0].data[idx_x], videos[1].data[idx_y]
         px, py = idx_x.astype(np.float64), idx_y.astype(np.float64)
 
-        _, got = loss_and_param_grads(enc, clip_x, clip_y, coupling.T, masks,
+        _, got = loss_and_param_grads(enc, clip_x, clip_y, coupling.real, masks,
                                       hyper, px, py)
 
         def loss_of(e):
             ex, _ = e.forward(clip_x)
             ey, _ = e.forward(clip_y)
-            return total_loss(ex, ey, coupling.T, masks, hyper, px, py).total
+            return total_loss(ex, ey, coupling.real, masks, hyper, px, py).total
 
         want = fd_param_grads(loss_of, enc.copy())
         for name in got:
@@ -271,16 +280,31 @@ class TestTrainingLoop:
 
     def test_train_step_updates_and_logs(self, rng, desk_hyper):
         videos = toy_videos(rng)
-        state = TrainState.create(Encoder.create(
-            videos[0].feature_dim, desk_hyper.embed_dim, desk_hyper.hidden_dim
-        ))
-        before = {k: v.copy() for k, v in state.encoder.params().items()}
-        report = train_step(state, videos[0], videos[1], desk_hyper, rng)
-        assert len(state.history) == 1 and state.history[0] is report
+        enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
+                             desk_hyper.hidden_dim)
+        adam = AdamState.for_encoder(enc)
+        before = {k: v.copy() for k, v in enc.params().items()}
+        report, coupling = train_step(enc, adam, videos[0], videos[1], desk_hyper, rng)
+        assert adam.step == 1
+        assert coupling.T.shape == (13, 13)  # sampled 12 plus the virtual bin
         assert np.isfinite(report.total)
-        assert any(
-            not np.array_equal(v, before[k]) for k, v in state.encoder.params().items()
-        )
+        assert (report.masked, report.frames) == (0, 24)
+        assert any(not np.array_equal(v, before[k]) for k, v in enc.params().items())
+
+    def test_train_step_encodes_each_clip_once(self, rng, desk_hyper, monkeypatch):
+        videos = toy_videos(rng)
+        enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
+                             desk_hyper.hidden_dim)
+        forward = Encoder.forward
+        calls = []
+
+        def counted(self, features):
+            calls.append(len(features))
+            return forward(self, features)
+
+        monkeypatch.setattr(Encoder, "forward", counted)
+        train_step(enc, AdamState.for_encoder(enc), videos[0], videos[1], desk_hyper, rng)
+        assert calls == [12, 12]
 
     def test_on_target_sees_every_step(self, rng, desk_hyper):
         videos = toy_videos(rng)

@@ -9,7 +9,6 @@ from rgwot.evaluation import (
     MetricsReport,
     evaluate,
     hungarian,
-    pad_square,
     write_metrics_csv,
 )
 
@@ -46,23 +45,14 @@ class TestHungarian:
             got = sum(cost[i, j] for i, j in hungarian(cost))
             assert got == pytest.approx(brute_force_min(cost), abs=1e-12)
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeMismatch):
-            hungarian(np.ones((3, 4)))
-
-    def test_pad_square_keeps_real_block(self):
-        cost = np.arange(6, dtype=float).reshape(2, 3)
-        out = pad_square(cost)
-        assert out.shape == (3, 3)
-        assert np.array_equal(out[:2, :3], cost)
-        assert (out[2] == 1e9).all()
-
-    def test_pad_square_then_match_ignores_padding(self):
-        # two predicted clusters, three gt steps: padding absorbs the slack
+    def test_rectangular_matches_every_row(self):
+        # two predicted clusters, three gt steps: each cluster takes its best step
         overlap = np.array([[10.0, 0.0, 0.0], [0.0, 8.0, 1.0]])
-        pairs = hungarian(pad_square(-overlap, pad_value=0.0))
-        real = [(i, j) for i, j in pairs if i < 2]
-        assert (0, 0) in real and (1, 1) in real
+        assert hungarian(-overlap) == [(0, 0), (1, 1)]
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ShapeMismatch):
+            hungarian(np.ones(3))
 
 
 class TestEvaluate:

@@ -63,18 +63,12 @@ class TestAlignLoss:
         loss, _ = align_loss(p, t)
         assert loss == pytest.approx(0.0, abs=1e-15)
 
-    def test_virtual_row_column_cropped(self, rng):
-        p = softmax_sim(rng.normal(size=(4, 5)), rng.normal(size=(5, 5)), 0.1)
-        t = rng.random((5, 6))
-        loss_big, grad_big = align_loss(p, t)
-        loss_crop, grad_crop = align_loss(p, t[:4, :5])
-        assert loss_big == loss_crop
-        assert np.array_equal(grad_big, grad_crop)
-
     def test_bad_target_shape(self, rng):
         p = softmax_sim(rng.normal(size=(4, 5)), rng.normal(size=(5, 5)), 0.1)
-        with pytest.raises(ShapeMismatch):
-            align_loss(p, np.zeros((6, 6)))
+        # a plan that still carries the virtual row and column is rejected too
+        for shape in ((6, 6), (5, 6)):
+            with pytest.raises(ShapeMismatch):
+                align_loss(p, np.zeros(shape))
 
     def test_masked_frames_drop_out(self, rng):
         x = rng.normal(size=(5, 3))
@@ -197,7 +191,7 @@ class TestTotalLoss:
     def _inputs(self, rng, n=6, m=5, d=4):
         x = rng.normal(size=(n, d))
         y = rng.normal(size=(m, d))
-        t = rng.random((n + 1, m + 1))
+        t = rng.random((n, m))
         t /= t.sum()
         masks = (np.zeros(n, dtype=bool), np.zeros(m, dtype=bool))
         return x, y, t, masks
@@ -234,6 +228,15 @@ class TestTotalLoss:
         hyper = Hyperparams(xi=0.0, sigma=2.0)
         report = total_loss(x, y, t, masks, hyper)
         assert np.array_equal(report.grad_x[0], np.zeros(4))
+
+    def test_counts_masked_frames(self, rng):
+        x, y, t, _ = self._inputs(rng)
+        masks = (np.array([True, False, True, False, False, False]),
+                 np.array([False, False, False, False, True]))
+        report = total_loss(x, y, t, masks, Hyperparams(sigma=2.0))
+        assert (report.masked, report.frames) == (3, 11)
+        unmasked = total_loss(x, y, t, None, Hyperparams(sigma=2.0))
+        assert (unmasked.masked, unmasked.frames) == (0, 11)
 
     def test_gradients_finite(self, rng):
         x, y, t, masks = self._inputs(rng)

@@ -5,6 +5,7 @@ from rgwot.data_model import Hyperparams
 from rgwot.errors import NumericalOverflow, ShapeMismatch
 from rgwot.priors import build_cost_bundle, structural_priors
 from rgwot.solver import (
+    Coupling,
     fgwot_objective,
     gw_gradient_fast,
     sinkhorn,
@@ -259,3 +260,15 @@ class TestSolveFgwot:
         b = solve_fgwot(bundle, hyper)
         assert np.array_equal(a.T, b.T)
         assert a.objective_trace == b.objective_trace
+
+
+class TestCouplingReal:
+    def test_virtual_row_and_column_dropped(self, rng):
+        t = rng.random((5, 6))
+        c = Coupling(T=t, outer_iterations=1, converged=True, final_delta=0.0, virtual=True)
+        assert np.array_equal(c.real, t[:4, :5])
+
+    def test_plain_plan_unchanged(self, rng):
+        t = rng.random((4, 5))
+        c = Coupling(T=t, outer_iterations=1, converged=True, final_delta=0.0)
+        assert c.real is t
