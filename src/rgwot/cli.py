@@ -152,6 +152,9 @@ def cmd_train(args) -> int:
     masked = sum(rep.masked for rep in history)
     sampled = sum(rep.frames for rep in history)
     print(f"masked {masked} of {sampled} sampled frames")
+    if sampled and masked == sampled:
+        print(f"warning: all {sampled} sampled frames were masked as background, so "
+              f"training learned nothing; --zeta 0 turns masking off", file=sys.stderr)
     print(f"checkpoint: {out / 'encoder.rgwf'}")
     return 0
 
@@ -177,7 +180,9 @@ def cmd_align(args) -> int:
     write_trace_csv(coupling.objective_trace, out / f"trace_{x_id}_{y_id}.csv")
     alignment_svg(coupling.T, out / f"alignment_{x_id}_{y_id}.svg")
     status = "converged" if coupling.converged else "not converged"
-    print(f"{x_id} vs {y_id}: {status} after {coupling.outer_iterations} outer iterations")
+    print(f"{x_id} vs {y_id}: {status} after {coupling.outer_iterations} outer iterations, "
+          f"{coupling.inner_capped} inner solves capped, "
+          f"worst inner violation {coupling.inner_violation:.2e}")
     return 0
 
 

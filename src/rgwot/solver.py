@@ -1,6 +1,6 @@
 """Entropic fused transport solver.
 
-`sinkhorn` solves the linear entropic problem in the log domain. `solve_fgwot`
+`sinkhorn` solves the linear entropic problem (`kernels.sinkhorn_log`). `solve_fgwot`
 runs the outer linearization loop: at each step the structural term is
 linearized into G = (1 - alpha) * C_tilde + 2 * alpha * (C_x T C_y) and T is
 replaced by the entropic plan for G, warm-starting the dual potentials. The
@@ -28,6 +28,8 @@ class Coupling:
     final_delta: float
     objective_trace: tuple[float, ...] = field(default_factory=tuple)
     virtual: bool = False
+    inner_capped: int = 0  # inner Sinkhorn solves that stopped at the sweep cap above tol
+    inner_violation: float = 0.0  # worst final column violation of the inner solves
 
     @property
     def real(self) -> np.ndarray:
@@ -76,9 +78,9 @@ def _sinkhorn_core(G, p, q, epsilon, max_iters, tol, f0=None, g0=None):
 def sinkhorn(G, p, q, epsilon, max_iters: int = 200, tol: float = 1e-9) -> Coupling:
     """Entropic OT between histograms p and q for cost G.
 
-    Returns the plan with converged=False when max_iters ran out before the
-    column-marginal violation reached tol (row marginals are exact after the
-    final row update).
+    Returns the plan with converged=False (and inner_capped=1) when max_iters
+    ran out before the column-marginal violation reached tol (row marginals
+    are exact after the final row update).
     """
     t, _, _, iters, violation = _sinkhorn_core(G, p, q, epsilon, max_iters, tol)
     return Coupling(
@@ -86,6 +88,8 @@ def sinkhorn(G, p, q, epsilon, max_iters: int = 200, tol: float = 1e-9) -> Coupl
         outer_iterations=iters,
         converged=violation <= tol,
         final_delta=violation,
+        inner_capped=int(violation > tol),
+        inner_violation=violation,
     )
 
 
@@ -143,6 +147,9 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     T starts at the product coupling p q^T. Each iteration re-linearizes the
     structural term and re-solves the entropic linear problem with warm
     potentials; convergence is an L1 change of T at most hyper.solver_tol.
+    The result counts the inner solves that stopped at the sweep cap with
+    their column violation above the inner tolerance, and keeps the worst
+    inner violation.
     """
     alpha = hyper.alpha
     eps = hyper.epsilon
@@ -152,17 +159,22 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
         parts = fgwot_objective(bundle, plain.T, alpha, eps)
         return replace(plain, outer_iterations=1, final_delta=0.0,
                        objective_trace=(parts.total,), virtual=bundle.virtual)
+    inner_tol = _inner_tol(hyper)
     t = np.outer(p, q)
     f = g = None
     trace = []
     delta = np.inf
     converged = False
     iters = 0
+    capped = 0
+    worst = 0.0
     for it in range(1, hyper.solver_max_outer + 1):
         grad = (1.0 - alpha) * bundle.C_tilde + 2.0 * alpha * _gw_pad(bundle, t)
-        t_new, f, g, _, _ = _sinkhorn_core(
-            grad, p, q, eps, hyper.solver_sinkhorn_iters, _inner_tol(hyper), f, g
+        t_new, f, g, _, violation = _sinkhorn_core(
+            grad, p, q, eps, hyper.solver_sinkhorn_iters, inner_tol, f, g
         )
+        capped += violation > inner_tol
+        worst = max(worst, violation)
         delta = float(np.abs(t_new - t).sum())
         trace.append(fgwot_objective(bundle, t_new, alpha, eps).total)
         t = t_new
@@ -177,6 +189,8 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
         final_delta=delta,
         objective_trace=tuple(trace),
         virtual=bundle.virtual,
+        inner_capped=capped,
+        inner_violation=worst,
     )
 
 

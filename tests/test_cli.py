@@ -104,6 +104,16 @@ class TestTrain:
         assert rc == 0
         assert f"masked {masked} of 96 sampled frames" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("zeta, warnings", [("0", 0), ("1", 1)])
+    def test_warns_when_every_sampled_frame_is_masked(self, task_dir, tmp_path, capsys,
+                                                      zeta, warnings):
+        rc = main(["train", "--manifest", str(task_dir), "--out", str(tmp_path)]
+                  + TRAIN_FLAGS + ["--zeta", zeta])
+        assert rc == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+        assert len(lines) == warnings
+        assert all("--zeta 0" in ln for ln in lines)
+
     def test_dump_couplings_writes_per_step_files(self, task_dir, tmp_path):
         out = tmp_path / "dumped"
         rc = main(["train", "--manifest", str(task_dir), "--out", str(out),
@@ -149,7 +159,9 @@ class TestAlign:
                    "--checkpoint", str(trained_dir / "encoder.rgwf"),
                    "--pair", "video_00", "video_01", "--out", str(out)])
         assert rc == 0
-        assert "outer iterations" in capsys.readouterr().out
+        status = capsys.readouterr().out
+        assert "outer iterations" in status
+        assert "inner solves capped, worst inner violation" in status
         coupling = np.loadtxt(out / "coupling_video_00_video_01.csv", delimiter=",")
         assert coupling.ndim == 2
         assert coupling.sum() == pytest.approx(1.0, abs=1e-6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rgwot import kernels
 from rgwot.data_model import Hyperparams
 from rgwot.errors import NumericalOverflow, ShapeMismatch
 from rgwot.priors import build_cost_bundle, structural_priors
@@ -58,6 +59,15 @@ class TestSinkhorn:
         assert c.outer_iterations == 1
         assert np.isfinite(c.final_delta)
 
+    def test_inner_diagnostics(self, rng):
+        g = rng.random((12, 12)) * 3.0
+        capped = sinkhorn(g, uniform(12), uniform(12), epsilon=0.01, max_iters=1, tol=1e-14)
+        assert capped.inner_capped == 1
+        assert capped.inner_violation == capped.final_delta
+        done = sinkhorn(g, uniform(12), uniform(12), epsilon=0.1)
+        assert done.inner_capped == 0
+        assert done.inner_violation == done.final_delta <= 1e-9
+
     def test_epsilon_must_be_positive(self):
         g = np.zeros((2, 2))
         with pytest.raises(NumericalOverflow):
@@ -71,6 +81,113 @@ class TestSinkhorn:
             sinkhorn(np.array([[np.nan, 0.0], [0.0, 0.0]]), uniform(2), uniform(2), 0.1)
         with pytest.raises(ShapeMismatch):
             sinkhorn(g, np.array([1.0, 0.0]), uniform(2), epsilon=0.1)
+
+
+def _log_domain(G, p, q, eps, max_iters, tol, f0, g0):
+    return kernels._sinkhorn_log_domain(G, np.log(p), np.log(q), eps, max_iters, tol,
+                                        f0.copy(), g0.copy(), 0)
+
+
+def _scaling(G, p, q, eps, max_iters, tol, f0, g0):
+    return kernels.sinkhorn_log(G, np.log(p), np.log(q), eps, max_iters, tol, f0, g0)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(kernels, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def _assert_same_solve(got, want):
+    assert got[2] == want[2]
+    assert np.abs(got[0] - want[0]).max() < 1e-12
+    assert np.abs(got[1] - want[1]).max() < 1e-12
+
+
+class TestSinkhornKernel:
+    """The scaling-domain sweep against the log-domain loop it replaces."""
+
+    @pytest.mark.parametrize("eps", [0.07, 0.01])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_log_domain(self, seed, eps, warm):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 65)), int(rng.integers(2, 65))
+        G = rng.uniform(0.0, 2.0, (n, m))
+        p = rng.uniform(0.5, 1.5, n)
+        p /= p.sum()
+        q = rng.uniform(0.5, 1.5, m)
+        q /= q.sum()
+        f0 = rng.normal(scale=0.1, size=n) if warm else np.zeros(n)
+        g0 = rng.normal(scale=0.1, size=m) if warm else np.zeros(m)
+        got = _scaling(G, p, q, eps, 200, 1e-9, f0, g0)
+        want = _log_domain(G, p, q, eps, 200, 1e-9, f0, g0)
+        _assert_same_solve(got, want)
+        assert got[3] == pytest.approx(want[3], rel=1e-6, abs=1e-15)
+
+    def test_underflowing_kernel_falls_back(self, rng, monkeypatch):
+        # exp(-G/eps) is 0 in every entry: no scaling sweep can start
+        G = 1.0 + rng.uniform(0.0, 1.0, (20, 24))
+        p, q = uniform(20), uniform(24)
+        assert not np.exp(-G / 1e-3).any()
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        f, g, iters, violation = _scaling(G, p, q, 1e-3, 5000, 1e-7,
+                                          np.zeros(20), np.zeros(24))
+        assert len(fallbacks) == 1
+        assert violation <= 1e-7
+        t = np.exp((f[:, None] + g[None, :] - G) / 1e-3)
+        assert np.abs(t.sum(axis=1) - p).max() < 1e-6
+        assert np.abs(t.sum(axis=0) - q).max() < 1e-6
+
+    def test_overflowing_scaling_falls_back_at_that_sweep(self, rng, monkeypatch):
+        # one column's kernel entries are subnormal, so its first v overflows
+        G = rng.uniform(0.0, 2.0, (10, 12))
+        G[:, 3] = 7.36
+        p, q = uniform(10), uniform(12)
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        got = _scaling(G, p, q, 0.01, 300, 1e-9, np.zeros(10), np.zeros(12))
+        assert len(fallbacks) == 1
+        assert fallbacks[0][-1] == 0  # the failed first sweep is redone in the log domain
+        want = _log_domain(G, p, q, 0.01, 300, 1e-9, np.zeros(10), np.zeros(12))
+        _assert_same_solve(got, want)
+
+    def test_absorption_fires_and_matches(self, rng, monkeypatch):
+        # at eps=4e-3 the kernel spans 1e-109..1e-217 and the first v leaves
+        # the safe range, so the scalings are absorbed and K rebuilt
+        G = 1.0 + rng.uniform(0.0, 1.0, (30, 26))
+        p, q = uniform(30), uniform(26)
+        builds = _count_calls(monkeypatch, "_stabilized_kernel")
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        got = _scaling(G, p, q, 4e-3, 200, 1e-9, np.zeros(30), np.zeros(26))
+        assert len(builds) >= 2
+        assert not fallbacks
+        want = _log_domain(G, p, q, 4e-3, 200, 1e-9, np.zeros(30), np.zeros(26))
+        _assert_same_solve(got, want)
+
+    def test_failed_rebuild_continues_from_absorbed_potentials(self, rng, monkeypatch):
+        G = 1.0 + rng.uniform(0.0, 1.0, (30, 26))
+        p, q = uniform(30), uniform(26)
+        build = kernels._stabilized_kernel
+        first = []
+
+        def first_build_only(*args):
+            if first:
+                return None, None
+            first.append(True)
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "_stabilized_kernel", first_build_only)
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        got = _scaling(G, p, q, 4e-3, 200, 1e-9, np.zeros(30), np.zeros(26))
+        assert len(fallbacks) == 1 and fallbacks[0][-1] >= 1
+        want = _log_domain(G, p, q, 4e-3, 200, 1e-9, np.zeros(30), np.zeros(26))
+        _assert_same_solve(got, want)
 
 
 class TestGwGradientFast:
@@ -217,6 +334,14 @@ class TestSolveFgwot:
         assert not c.converged
         assert c.outer_iterations == hyper.solver_max_outer
         assert np.abs(c.T.sum(axis=1) - bundle.p).max() < 1e-6  # still feasible
+        # inner diagnostics: count of capped solves, worst violation over all
+        assert 0 <= c.inner_capped <= c.outer_iterations
+        inner_tol = min(1e-9, hyper.solver_tol * 1e-3)
+        assert (c.inner_capped > 0) == (c.inner_violation > inner_tol)
+        assert np.isfinite(c.inner_violation) and c.inner_violation >= 0.0
+        capped_only = solve_fgwot(bundle, hyper.updated(solver_sinkhorn_iters=1))
+        assert capped_only.inner_capped == capped_only.outer_iterations
+        assert capped_only.inner_violation > inner_tol
         relaxed = solve_fgwot(bundle, hyper.updated(solver_max_outer=200))
         assert relaxed.converged
 
