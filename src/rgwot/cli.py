@@ -72,6 +72,13 @@ def _hyper_from_args(args, manifest) -> Hyperparams:
     return Hyperparams(**overrides)
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rgwot", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -80,12 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic task")
     p.add_argument("--profile", required=True, choices=["easy", "hard", "collapse-prone"])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("train", help="train an encoder")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dump-couplings", action="store_true",
                    help="dump the coupling and objective trace of every training step")
     _add_hyper_flags(p, f"{_SOLVER_FLAGS} {_TRAINING_FLAGS}")
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--beta", type=float, default=1.0, help="Potts smoothing weight")
     p.add_argument("--no-masks", action="store_true",
                    help="skip alignment-based background masking")

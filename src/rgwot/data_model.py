@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +225,7 @@ def load_manifest(path) -> TaskManifest:
     for key in ("task_name", "k", "videos"):
         if key not in doc:
             raise ParseError(f"{path}: missing required field {key!r}")
-    if not isinstance(doc["k"], int):
+    if isinstance(doc["k"], bool) or not isinstance(doc["k"], int):
         raise ParseError(f"{path}: k must be an integer")
     if not (isinstance(doc["videos"], list) and all(isinstance(v, dict) for v in doc["videos"])):
         raise ParseError(f"{path}: videos must be a list of objects")
@@ -234,6 +234,10 @@ def load_manifest(path) -> TaskManifest:
     for raw in doc["videos"]:
         if "id" not in raw or "features" not in raw:
             raise ParseError(f"{path}: video entries need 'id' and 'features'")
+        if not isinstance(raw["features"], str):
+            raise ParseError(f"{path}: 'features' of video {raw['id']!r} must be a path string")
+        if not isinstance(raw.get("labels", ""), (str, type(None))):
+            raise ParseError(f"{path}: 'labels' of video {raw['id']!r} must be a path string")
         feat = base / raw["features"]
         if not feat.is_file():
             raise ParseError(f"{path}: features file not found: {feat}")
@@ -329,6 +333,3 @@ class Hyperparams:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
-
-    def updated(self, **kwargs) -> "Hyperparams":
-        return replace(self, **kwargs)

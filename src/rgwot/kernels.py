@@ -1,7 +1,7 @@
 """Hot numeric kernels, vectorized with numpy.
 
 Kernels:
-  sinkhorn_log       Sinkhorn sweeps in the scaling domain, log-domain fallback
+  sinkhorn_log       Sinkhorn sweeps in the scaling domain, one log-domain handover
   banded_gw_product  C_x @ T @ C_y for the banded structural costs
   cidm_parts         temporal contrastive loss value and embedding gradient
 
@@ -10,6 +10,8 @@ attributes; `perfbench/run.py --trace 1` times each one that way.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,22 +24,8 @@ def _lse_rows(m):
     return np.where(np.isfinite(mx), out, mx)
 
 
-# scalings u, v are absorbed into the potentials once they leave this range
+# a sweep whose scalings u, v leave this range hands over to the log domain
 _SCALING_MIN, _SCALING_MAX = 1e-100, 1e100
-
-
-def _stabilized_kernel(G, f, g, eps):
-    """K = exp((f_i + g_j - G_ij) / eps) and its column sums K^T 1.
-
-    Returns (None, None) when K cannot carry a scaling sweep: an entry
-    overflowed, or a row or column underflowed to all zeros.
-    """
-    K = np.exp((f[:, None] + g[None, :] - G) / eps)
-    col = K.sum(axis=0)
-    row = K.sum(axis=1)
-    if not (np.isfinite(col).all() and col.min() > 0.0 and row.min() > 0.0):
-        return None, None
-    return K, col
 
 
 def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
@@ -51,52 +39,39 @@ def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
     f = f0 + eps log u and g = g0 + eps log v, the log-domain updates become
     v = q / K^T u and u = p / K v, two mat-vecs per sweep. K^T u is then
     computed once and serves both the column violation v * K^T u - q and
-    the next sweep's v. A scaling that leaves [1e-100, 1e100] is absorbed
-    into the potentials and K is rebuilt. A non-finite scaling, or a K whose
-    row or column underflowed, hands the iteration to the log-domain loop
-    from the last finite potentials. Both paths take the same iterates, and
-    iters counts the sweeps of both.
+    the next sweep's v. K is built once. The first sweep whose scalings
+    leave [1e-100, 1e100], or whose violation is not finite, is redone by the
+    log-domain loop from the potentials of the sweep before it, and that loop
+    finishes the solve. An overflowed entry of K, or an all-zero row or
+    column, makes the first sweep's scalings 0, inf or nan, so the handover
+    then starts from (f0, g0). Both loops take the same iterates, and iters
+    counts the sweeps of both.
     """
     p = np.exp(logp)
     q = np.exp(logq)
-    f = f0.copy()
-    g = g0.copy()
-    # overflow and 0-division are detected below and handled by the fallback
+    u = np.ones_like(p)
+    v = np.ones_like(q)
+    iters = 0
+    violation = np.inf
+    # overflow and 0-division show up as scalings out of range below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        K, ktu = _stabilized_kernel(G, f, g, eps)
-        if K is None:
-            return _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, 0)
-        u = np.ones_like(p)
-        v = np.ones_like(q)
-        iters = 0
-        violation = np.inf
+        K = np.exp((f0[:, None] + g0[None, :] - G) / eps)
+        ktu = K.sum(axis=0)
         for it in range(1, max_iters + 1):
             v_new = q / ktu
             u_new = p / (K @ v_new)
             ktu = u_new @ K
             violation = np.max(np.abs(v_new * ktu - q))
-            in_range = (_SCALING_MIN <= u_new.min() and u_new.max() <= _SCALING_MAX
-                        and _SCALING_MIN <= v_new.min() and v_new.max() <= _SCALING_MAX)
-            if not in_range:
-                log_u, log_v = np.log(u_new), np.log(v_new)
-                if not (np.isfinite(log_u).all() and np.isfinite(log_v).all()
-                        and np.isfinite(violation)):
-                    f += eps * np.log(u)
-                    g += eps * np.log(v)
-                    return _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, it - 1)
+            if not (_SCALING_MIN <= u_new.min() and u_new.max() <= _SCALING_MAX
+                    and _SCALING_MIN <= v_new.min() and v_new.max() <= _SCALING_MAX
+                    and math.isfinite(violation)):
+                return _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol,
+                                            f0 + eps * np.log(u), g0 + eps * np.log(v), it - 1)
             u, v = u_new, v_new
             iters = it
             if violation <= tol:
                 break
-            if not in_range:
-                f += eps * log_u
-                g += eps * log_v
-                u = np.ones_like(p)
-                v = np.ones_like(q)
-                K, ktu = _stabilized_kernel(G, f, g, eps)
-                if K is None:
-                    return _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, it)
-    return f + eps * np.log(u), g + eps * np.log(v), iters, violation
+    return f0 + eps * np.log(u), g0 + eps * np.log(v), iters, violation
 
 
 def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, done):

@@ -318,18 +318,22 @@ def _argv_reading_bad_file(case, task_dir, trained_dir, tmp_path):
             first = load_manifest(task_dir).videos[0].video_id
             (preds / f"{first}.labels.txt").write_bytes(b"\xff\xfe0\n")
         return ["eval", "--manifest", str(manifest), "--pred-dir", str(preds)] + out
-    elif case == "eval-manifest-without-labels":
-        videos = [{"id": v.video_id, "features": str(v.features_path)}
+    elif case in ("eval-manifest-without-labels", "labels-not-a-string"):
+        labels = {"labels": 7} if case == "labels-not-a-string" else {}
+        videos = [{"id": v.video_id, "features": str(v.features_path), **labels}
                   for v in load_manifest(task_dir).videos]
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"task_name": "toy", "k": 3, "videos": videos}))
-        # the task directory holds a <video_id>.labels.txt for every video
-        return ["eval", "--manifest", str(manifest), "--pred-dir", str(task_dir.parent)] + out
+        if case == "eval-manifest-without-labels":
+            # the task directory holds a <video_id>.labels.txt for every video
+            return ["eval", "--manifest", str(manifest), "--pred-dir", str(task_dir.parent)] + out
     else:
         raw = {"manifest-not-utf8": b"\xff\xfe{",
                "manifest-not-an-object": b"5",
                "videos-not-a-list": b'{"task_name": "t", "k": 3, "videos": 5}',
-               "video-entries-not-objects": b'{"task_name": "t", "k": 3, "videos": [5, 6]}'}
+               "video-entries-not-objects": b'{"task_name": "t", "k": 3, "videos": [5, 6]}',
+               "features-not-a-string": b'{"task_name": "t", "k": 3, "videos": '
+                                        b'[{"id": "a", "features": 5}, {"id": "b", "features": 5}]}'}
         manifest = tmp_path / "manifest.json"
         manifest.write_bytes(raw[case])
     return ["segment", "--manifest", str(manifest), "--checkpoint", str(ckpt)] + out
@@ -339,13 +343,27 @@ def _argv_reading_bad_file(case, task_dir, trained_dir, tmp_path):
     "missing-checkpoint", "sidecar-without-hidden-dim", "sidecar-not-json",
     "missing-pred-dir", "prediction-not-utf8", "manifest-not-utf8",
     "manifest-not-an-object", "videos-not-a-list", "video-entries-not-objects",
-    "eval-manifest-without-labels",
+    "eval-manifest-without-labels", "features-not-a-string", "labels-not-a-string",
 ])
 def test_bad_input_file_is_an_error_not_a_crash(case, task_dir, trained_dir, tmp_path,
                                                  capsys):
     rc = main(_argv_reading_bad_file(case, task_dir, trained_dir, tmp_path))
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "segment"])
+def test_negative_seed_is_a_usage_error(command, task_dir, trained_dir, tmp_path, capsys):
+    rest = {
+        "synth": ["--profile", "easy"],
+        "train": ["--manifest", str(task_dir)],
+        "segment": ["--manifest", str(task_dir), "--checkpoint",
+                    str(trained_dir / "encoder.rgwf")],
+    }[command]
+    rc = main([command, "--out", str(tmp_path / "out"), "--seed", "-1"] + rest)
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestParser:

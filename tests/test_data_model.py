@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,15 @@ class TestManifest:
         with pytest.raises(ParseError, match="k"):
             load_manifest(path)
 
+    def test_boolean_k_is_rejected(self, tmp_path, rng):
+        # JSON true is a Python int subclass; it must not load as k = 1
+        path = _write_toy_task(tmp_path, rng)
+        doc = json.loads(path.read_text())
+        doc["k"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="k must be an integer"):
+            load_manifest(path)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_manifest(tmp_path / "absent.json")
@@ -261,7 +271,7 @@ class TestHyperparams:
 
     def test_updated_returns_new_validated_copy(self):
         h = Hyperparams()
-        h2 = h.updated(alpha=0.5)
+        h2 = replace(h, alpha=0.5)
         assert h2.alpha == 0.5 and h.alpha == 0.3
         with pytest.raises(ConfigError):
-            h.updated(alpha=2.0)
+            replace(h, alpha=2.0)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,8 +258,8 @@ class TestTrainingLoop:
         from rgwot.losses import total_loss
 
         videos = toy_videos(rng, frames=15, dim=4)
-        hyper = desk_hyper.updated(sampled_frames=6, embed_dim=3, hidden_dim=5,
-                                   sigma=2.0, tau=0.2, xi=0.5)
+        hyper = replace(desk_hyper, sampled_frames=6, embed_dim=3, hidden_dim=5,
+                        sigma=2.0, tau=0.2, xi=0.5)
         enc = Encoder.create(4, embed_dim=3, hidden_dim=5, seed=1)
         idx_x, idx_y, coupling, masks = step_target(
             enc, videos[0], videos[1], hyper, rng
@@ -320,7 +321,7 @@ class TestTrainingLoop:
 
     def test_zero_epochs(self, rng, desk_hyper):
         videos = toy_videos(rng)
-        enc, history = train(videos, desk_hyper.updated(epochs=0), rng)
+        enc, history = train(videos, replace(desk_hyper, epochs=0), rng)
         assert history == []
         assert enc.feature_dim == videos[0].feature_dim
 

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,48 +149,36 @@ class TestSinkhornKernel:
         assert np.abs(t.sum(axis=0) - q).max() < 1e-6
 
     def test_overflowing_scaling_falls_back_at_that_sweep(self, rng, monkeypatch):
-        # one column's kernel entries are subnormal, so its first v overflows
+        # a column of subnormal kernel entries at eps=0.01, and a kernel that
+        # spans 1e-109..1e-217 at eps=4e-3: in both the first v leaves the range
+        subnormal = rng.uniform(0.0, 2.0, (10, 12))
+        subnormal[:, 3] = 7.36
+        instances = [(subnormal, 0.01), (1.0 + rng.uniform(0.0, 1.0, (30, 26)), 4e-3)]
+        for G, eps in instances:
+            p, q = uniform(G.shape[0]), uniform(G.shape[1])
+            f0, g0 = np.zeros_like(p), np.zeros_like(q)
+            want = _log_domain(G, p, q, eps, 300, 1e-9, f0, g0)
+            fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+            got = _scaling(G, p, q, eps, 300, 1e-9, f0, g0)
+            monkeypatch.undo()
+            assert len(fallbacks) == 1
+            assert fallbacks[0][-1] == 0  # the failed first sweep is redone in the log domain
+            _assert_same_solve(got, want)
+
+    def test_overflowing_warm_start_hands_over_after_sweep_zero(self, rng, monkeypatch):
+        # f0[2] = 60 at eps = 0.07 overflows row 2 of K = exp((f0 + g0 - G)/eps)
         G = rng.uniform(0.0, 2.0, (10, 12))
-        G[:, 3] = 7.36
         p, q = uniform(10), uniform(12)
+        f0 = np.zeros(10)
+        f0[2] = 60.0
         fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
-        got = _scaling(G, p, q, 0.01, 300, 1e-9, np.zeros(10), np.zeros(12))
-        assert len(fallbacks) == 1
-        assert fallbacks[0][-1] == 0  # the failed first sweep is redone in the log domain
-        want = _log_domain(G, p, q, 0.01, 300, 1e-9, np.zeros(10), np.zeros(12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _scaling(G, p, q, 0.07, 200, 1e-9, f0, np.zeros(12))
+        assert len(fallbacks) == 1 and fallbacks[0][-1] == 0
+        want = _log_domain(G, p, q, 0.07, 200, 1e-9, f0, np.zeros(12))
         _assert_same_solve(got, want)
-
-    def test_absorption_fires_and_matches(self, rng, monkeypatch):
-        # at eps=4e-3 the kernel spans 1e-109..1e-217 and the first v leaves
-        # the safe range, so the scalings are absorbed and K rebuilt
-        G = 1.0 + rng.uniform(0.0, 1.0, (30, 26))
-        p, q = uniform(30), uniform(26)
-        builds = _count_calls(monkeypatch, "_stabilized_kernel")
-        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
-        got = _scaling(G, p, q, 4e-3, 200, 1e-9, np.zeros(30), np.zeros(26))
-        assert len(builds) >= 2
-        assert not fallbacks
-        want = _log_domain(G, p, q, 4e-3, 200, 1e-9, np.zeros(30), np.zeros(26))
-        _assert_same_solve(got, want)
-
-    def test_failed_rebuild_continues_from_absorbed_potentials(self, rng, monkeypatch):
-        G = 1.0 + rng.uniform(0.0, 1.0, (30, 26))
-        p, q = uniform(30), uniform(26)
-        build = kernels._stabilized_kernel
-        first = []
-
-        def first_build_only(*args):
-            if first:
-                return None, None
-            first.append(True)
-            return build(*args)
-
-        monkeypatch.setattr(kernels, "_stabilized_kernel", first_build_only)
-        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
-        got = _scaling(G, p, q, 4e-3, 200, 1e-9, np.zeros(30), np.zeros(26))
-        assert len(fallbacks) == 1 and fallbacks[0][-1] >= 1
-        want = _log_domain(G, p, q, 4e-3, 200, 1e-9, np.zeros(30), np.zeros(26))
-        _assert_same_solve(got, want)
+        assert want[3] <= 1e-9
 
 
 class TestGwGradientFast:
@@ -297,7 +288,7 @@ class TestObjective:
 class TestSolveFgwot:
     def test_alpha_zero_equals_plain_sinkhorn(self, rng):
         bundle, hyper = _bundle(rng, virtual=True)
-        hyper = hyper.updated(alpha=0.0)
+        hyper = replace(hyper, alpha=0.0)
         got = solve_fgwot(bundle, hyper)
         want = sinkhorn(bundle.C_tilde, bundle.p, bundle.q, hyper.epsilon,
                         hyper.solver_sinkhorn_iters,
@@ -339,10 +330,10 @@ class TestSolveFgwot:
         inner_tol = min(1e-9, hyper.solver_tol * 1e-3)
         assert (c.inner_capped > 0) == (c.inner_violation > inner_tol)
         assert np.isfinite(c.inner_violation) and c.inner_violation >= 0.0
-        capped_only = solve_fgwot(bundle, hyper.updated(solver_sinkhorn_iters=1))
+        capped_only = solve_fgwot(bundle, replace(hyper, solver_sinkhorn_iters=1))
         assert capped_only.inner_capped == capped_only.outer_iterations
         assert capped_only.inner_violation > inner_tol
-        relaxed = solve_fgwot(bundle, hyper.updated(solver_max_outer=200))
+        relaxed = solve_fgwot(bundle, replace(hyper, solver_max_outer=200))
         assert relaxed.converged
 
     def test_identical_videos_align_diagonally(self, rng):
