@@ -140,16 +140,18 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    on_target = None
+    dump_dir = out / "couplings"
     if args.dump_couplings:
-        dump_dir = out / "couplings"
         dump_dir.mkdir(parents=True, exist_ok=True)
-        counter = iter(range(10**9))
+    solves = []  # (inner solves capped, inner solves, worst inner violation) per step
 
-        def on_target(coupling):
-            step = next(counter)
+    def on_target(coupling):
+        if args.dump_couplings:
+            step = len(solves)
             write_coupling_csv(coupling.T, dump_dir / f"step_{step:05d}.csv")
             write_trace_csv(coupling.objective_trace, dump_dir / f"step_{step:05d}_trace.csv")
+        solves.append((coupling.inner_capped, coupling.outer_iterations,
+                       coupling.inner_violation))
 
     encoder, history = train(videos, hyper, rng, on_target=on_target)
     save_encoder(encoder, out / "encoder.rgwf", hyper)
@@ -162,6 +164,10 @@ def cmd_train(args) -> int:
     if sampled and masked == sampled:
         print(f"warning: all {sampled} sampled frames were masked as background, so "
               f"training learned nothing; --zeta 0 turns masking off", file=sys.stderr)
+    capped = sum(c for c, _, _ in solves)
+    inner = sum(n for _, n, _ in solves)
+    worst = max((v for _, _, v in solves), default=0.0)
+    print(f"inner solves capped {capped} of {inner}, worst inner violation {worst:.2e}")
     print(f"checkpoint: {out / 'encoder.rgwf'}")
     return 0
 

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from rgwot import training
 from rgwot.cli import main
 from rgwot.data_model import Hyperparams, load_labels, load_manifest
 from rgwot.encoder import load_encoder
+from rgwot.solver import solve_fgwot
 from rgwot.synth import make_task, write_task
 
 
@@ -113,6 +115,25 @@ class TestTrain:
         lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
         assert len(lines) == warnings
         assert all("--zeta 0" in ln for ln in lines)
+
+    def test_reports_inner_solves_capped(self, task_dir, tmp_path, capsys, monkeypatch):
+        couplings = []
+
+        def recorded(bundle, hyper):
+            couplings.append(solve_fgwot(bundle, hyper))
+            return couplings[-1]
+
+        monkeypatch.setattr(training, "solve_fgwot", recorded)
+        rc = main(["train", "--manifest", str(task_dir), "--out", str(tmp_path)]
+                  + TRAIN_FLAGS)
+        assert rc == 0
+        assert len(couplings) == 4  # 2 epochs x 2 pairs
+        capped = sum(c.inner_capped for c in couplings)
+        solves = sum(c.outer_iterations for c in couplings)
+        worst = max(c.inner_violation for c in couplings)
+        assert capped > 0  # at least one inner solve stops at the cap here
+        assert f"inner solves capped {capped} of {solves}, worst inner violation {worst:.2e}" \
+            in capsys.readouterr().out.splitlines()
 
     def test_dump_couplings_writes_per_step_files(self, task_dir, tmp_path):
         out = tmp_path / "dumped"

@@ -133,6 +133,7 @@ class TestSinkhornKernel:
         want = _log_domain(G, p, q, eps, 200, 1e-9, f0, g0)
         _assert_same_solve(got, want)
         assert got[3] == pytest.approx(want[3], rel=1e-6, abs=1e-15)
+        assert got[2] % kernels._CHECK == 0 or got[2] == 200
 
     def test_underflowing_kernel_falls_back(self, rng, monkeypatch):
         # exp(-G/eps) is 0 in every entry: no scaling sweep can start
@@ -164,6 +165,21 @@ class TestSinkhornKernel:
             assert len(fallbacks) == 1
             assert fallbacks[0][-1] == 0  # the failed first sweep is redone in the log domain
             _assert_same_solve(got, want)
+
+    def test_hands_over_from_the_last_passed_check(self, monkeypatch):
+        # the scalings first leave the range at sweep 12, so the check after
+        # sweep 16 fails and the log domain redoes sweeps 9.. from sweep 8
+        G = np.random.default_rng(745).uniform(0.0, 1.0, (8, 30))
+        p, q = uniform(8), uniform(30)
+        f0, g0 = np.zeros(8), np.zeros(30)
+        assert kernels._CHECK == 8
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        got = _scaling(G, p, q, 2e-3, 200, 1e-9, f0, g0)
+        monkeypatch.undo()
+        assert len(fallbacks) == 1
+        assert fallbacks[0][-1] == 8
+        want = _log_domain(G, p, q, 2e-3, 200, 1e-9, f0, g0)
+        _assert_same_solve(got, want)
 
     def test_overflowing_warm_start_hands_over_after_sweep_zero(self, rng, monkeypatch):
         # f0[2] = 60 at eps = 0.07 overflows row 2 of K = exp((f0 + g0 - G)/eps)
