@@ -164,12 +164,17 @@ def cmd_train(args) -> int:
     if sampled and masked == sampled:
         print(f"warning: all {sampled} sampled frames were masked as background, so "
               f"training learned nothing; --zeta 0 turns masking off", file=sys.stderr)
+    _print_inner_solves(solves)
+    print(f"checkpoint: {out / 'encoder.rgwf'}")
+    return 0
+
+
+def _print_inner_solves(solves) -> None:
+    """One line over (inner solves capped, inner solves, worst violation) triples."""
     capped = sum(c for c, _, _ in solves)
     inner = sum(n for _, n, _ in solves)
     worst = max((v for _, _, v in solves), default=0.0)
     print(f"inner solves capped {capped} of {inner}, worst inner violation {worst:.2e}")
-    print(f"checkpoint: {out / 'encoder.rgwf'}")
-    return 0
 
 
 def cmd_align(args) -> int:
@@ -216,8 +221,16 @@ def cmd_segment(args) -> int:
         + hyper_header(hyper)
     enc = load_encoder(args.checkpoint)
     rng = np.random.default_rng(args.seed)
+    solves = []  # (inner solves capped, inner solves, worst inner violation) per mask solve
+
+    def on_coupling(coupling):
+        solves.append((coupling.inner_capped, coupling.outer_iterations,
+                       coupling.inner_violation))
+
     result = segment_task(videos, enc, hyper.k, args.beta, hyper, rng,
-                          use_masks=not args.no_masks)
+                          use_masks=not args.no_masks, on_coupling=on_coupling)
+    if solves:
+        _print_inner_solves(solves)
     rows = []
     for seq in result.labels:
         save_labels(seq, out / f"{seq.video_id}.labels.txt")

@@ -100,17 +100,30 @@ class AdamState:
 def adam_update(enc: Encoder, state: AdamState, grads: dict[str, np.ndarray],
                 lr: float, weight_decay: float,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """In-place Adam step; weight decay is added to the gradient (L2 style)."""
+    """In-place Adam step; weight decay is added to the gradient (L2 style).
+
+    The parameters and both moment buffers are updated in place, with the
+    operations of theta -= lr * m_hat / (sqrt(v_hat) + eps) in that order.
+    """
     state.step += 1
     t = state.step
     for name in PARAM_NAMES:
         theta = getattr(enc, name)
-        g = grads[name] + weight_decay * theta
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        g = weight_decay * theta
+        g += grads[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        g *= g
+        v *= beta2
+        v += (1.0 - beta2) * g
+        step = m / (1.0 - beta1 ** t)
+        step *= lr
+        denom = v / (1.0 - beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        theta -= step
 
 
 def save_encoder(enc: Encoder, path, hyper=None) -> None:

@@ -181,13 +181,19 @@ class SegmentationResult:
     centers: np.ndarray
 
 
-def compute_segment_masks(embeddings: list[np.ndarray], hyper: Hyperparams) -> list[np.ndarray]:
-    """Background masks from solves of each video against the next (cyclic)."""
+def compute_segment_masks(embeddings: list[np.ndarray], hyper: Hyperparams,
+                          on_coupling=None) -> list[np.ndarray]:
+    """Background masks from solves of each video against the next (cyclic).
+
+    on_coupling, when given, receives each solved coupling.
+    """
     v = len(embeddings)
     masks: list[np.ndarray] = []
     for i in range(v):
         bundle = build_cost_bundle(embeddings[i], embeddings[(i + 1) % v], hyper)
         coupling = solve_fgwot(bundle, hyper)
+        if on_coupling is not None:
+            on_coupling(coupling)
         mask_x, _ = background_mask(coupling, hyper.zeta)
         masks.append(mask_x)
     return masks
@@ -195,16 +201,17 @@ def compute_segment_masks(embeddings: list[np.ndarray], hyper: Hyperparams) -> l
 
 def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
                  beta: float, hyper: Hyperparams, rng: np.random.Generator,
-                 use_masks: bool = True) -> SegmentationResult:
+                 use_masks: bool = True, on_coupling=None) -> SegmentationResult:
     """Full segmentation of one task with a trained encoder.
 
     With use_masks, background frames are detected by pairwise alignment
     first, excluded from clustering, and forced to label BACKGROUND.
+    on_coupling, when given, receives the coupling of each of those solves.
     """
     _check_potts_weight(beta)  # before the alignment solves, not after
     embeddings = [enc.forward(v.data)[0] for v in videos]
     if use_masks and hyper.use_virtual and hyper.zeta > 0 and len(videos) >= 2:
-        masks = compute_segment_masks(embeddings, hyper)
+        masks = compute_segment_masks(embeddings, hyper, on_coupling)
     else:
         masks = [np.zeros(e.shape[0], dtype=bool) for e in embeddings]
     pool = np.concatenate([e[~m] for e, m in zip(embeddings, masks)], axis=0)

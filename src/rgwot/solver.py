@@ -126,14 +126,19 @@ class ObjectiveParts:
     total: float
 
 
-def fgwot_objective(bundle: CostBundle, T, alpha: float, epsilon: float) -> ObjectiveParts:
+def fgwot_objective(bundle: CostBundle, T, alpha: float, epsilon: float,
+                    gw_product=None) -> ObjectiveParts:
     """Entropy-regularized fused objective and its three terms.
 
     total = (1 - alpha) <C_tilde, T> + alpha <C_x T C_y, T> - epsilon * H(T)
-    with H(T) = -sum T log T.
+    with H(T) = -sum T log T. gw_product, when given, is the structural
+    product C_x T C_y of this T as solve_fgwot computes it (zero on the
+    virtual frame), so that it is not computed twice.
     """
+    if gw_product is None:
+        gw_product = _gw_pad(bundle, T)
     kot = float(np.sum(bundle.C_tilde * T))
-    gw = float(np.sum(_gw_pad(bundle, T) * T))
+    gw = float(np.sum(gw_product * T))
     with np.errstate(divide="ignore", invalid="ignore"):
         xlogx = np.where(T > 0, T * np.log(np.where(T > 0, T, 1.0)), 0.0)
     entropy = float(-np.sum(xlogx))
@@ -168,15 +173,18 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     iters = 0
     capped = 0
     worst = 0.0
+    product = _gw_pad(bundle, t)
     for it in range(1, hyper.solver_max_outer + 1):
-        grad = (1.0 - alpha) * bundle.C_tilde + 2.0 * alpha * _gw_pad(bundle, t)
+        grad = (1.0 - alpha) * bundle.C_tilde + 2.0 * alpha * product
         t_new, f, g, _, violation = _sinkhorn_core(
             grad, p, q, eps, hyper.solver_sinkhorn_iters, inner_tol, f, g
         )
         capped += violation > inner_tol
         worst = max(worst, violation)
         delta = float(np.abs(t_new - t).sum())
-        trace.append(fgwot_objective(bundle, t_new, alpha, eps).total)
+        # the objective of t_new and the next linearization share its product
+        product = _gw_pad(bundle, t_new)
+        trace.append(fgwot_objective(bundle, t_new, alpha, eps, product).total)
         t = t_new
         iters = it
         if delta <= hyper.solver_tol:

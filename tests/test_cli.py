@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rgwot import training
+from rgwot import segmentation, training
 from rgwot.cli import main
 from rgwot.data_model import Hyperparams, load_labels, load_manifest
 from rgwot.encoder import load_encoder
@@ -124,8 +124,9 @@ class TestTrain:
             return couplings[-1]
 
         monkeypatch.setattr(training, "solve_fgwot", recorded)
+        # at eps 0.02 the inner solves of this task converge too slowly for the cap
         rc = main(["train", "--manifest", str(task_dir), "--out", str(tmp_path)]
-                  + TRAIN_FLAGS)
+                  + TRAIN_FLAGS + ["--epsilon", "0.02"])
         assert rc == 0
         assert len(couplings) == 4  # 2 epochs x 2 pairs
         capped = sum(c.inner_capped for c in couplings)
@@ -250,6 +251,30 @@ class TestSegmentAndEval:
         for entry in manifest.videos:
             name = f"{entry.video_id}.labels.txt"
             assert (out / name).read_text() == (segmented / name).read_text()
+
+    def test_reports_inner_solves_of_the_masks(self, task_dir, trained_dir, tmp_path,
+                                               capsys, monkeypatch):
+        couplings = []
+
+        def recorded(bundle, hyper):
+            couplings.append(solve_fgwot(bundle, hyper))
+            return couplings[-1]
+
+        monkeypatch.setattr(segmentation, "solve_fgwot", recorded)
+        argv = ["segment", "--manifest", str(task_dir),
+                "--checkpoint", str(trained_dir / "encoder.rgwf"), "--seed", "0"]
+        assert main(argv + ["--out", str(tmp_path / "masked")]) == 0
+        assert len(couplings) == 4  # each video against the next
+        capped = sum(c.inner_capped for c in couplings)
+        solves = sum(c.outer_iterations for c in couplings)
+        worst = max(c.inner_violation for c in couplings)
+        lines = capsys.readouterr().out.splitlines()
+        assert f"inner solves capped {capped} of {solves}, worst inner violation {worst:.2e}" \
+            in lines
+        assert main(argv + ["--out", str(tmp_path / "plain"), "--no-masks"]) == 0
+        assert len(couplings) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(ln.startswith("inner solves") for ln in lines)
 
     def test_segment_without_checkpoint_errors(self, task_dir, tmp_path, capsys):
         rc = main(["segment", "--manifest", str(task_dir), "--out", str(tmp_path)])

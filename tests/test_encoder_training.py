@@ -136,6 +136,32 @@ class TestAdam:
         for v in enc.params().values():
             assert (v < 1.0).all() and (v > 0.9).all()
 
+    def test_in_place_update_equals_the_formula(self, rng):
+        # the moment buffers and parameters are updated in place; the result
+        # must be the formula's, bit for bit, step after step
+        enc = Encoder.create(6, embed_dim=3, hidden_dim=5, seed=1)
+        state = AdamState.for_encoder(enc)
+        theta = {k: p.copy() for k, p in enc.params().items()}
+        m = {k: np.zeros_like(p) for k, p in theta.items()}
+        v = {k: np.zeros_like(p) for k, p in theta.items()}
+        lr, wd, b1, b2, eps = 1e-2, 1e-3, 0.9, 0.999, 1e-8
+        for t in range(1, 7):
+            grads = {k: rng.normal(size=p.shape) for k, p in theta.items()}
+            given = {k: g.copy() for k, g in grads.items()}
+            adam_update(enc, state, grads, lr=lr, weight_decay=wd)
+            for k in theta:
+                g = grads[k] + wd * theta[k]
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                m_hat = m[k] / (1.0 - b1 ** t)
+                v_hat = v[k] / (1.0 - b2 ** t)
+                theta[k] = theta[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for k, p in enc.params().items():
+                assert np.array_equal(p, theta[k]), (t, k)
+                assert np.array_equal(state.m[k], m[k]), (t, k)
+                assert np.array_equal(state.v[k], v[k]), (t, k)
+                assert np.array_equal(grads[k], given[k]), (t, k)
+
     def test_step_counter_advances(self):
         enc = Encoder.create(3, embed_dim=2, hidden_dim=4)
         state = AdamState.for_encoder(enc)

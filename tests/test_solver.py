@@ -197,6 +197,65 @@ class TestSinkhornKernel:
         assert want[3] <= 1e-9
 
 
+    def test_extrapolation_halves_the_sweeps_of_a_slow_solve(self, monkeypatch):
+        G = np.random.default_rng(0).uniform(0.0, 1.0, (30, 34))
+        p, q = uniform(30), uniform(34)
+        f0, g0 = np.zeros(30), np.zeros(34)
+        fast = _scaling(G, p, q, 0.01, 5000, 1e-9, f0, g0)
+        monkeypatch.setattr(kernels, "_RHO_MIN", 1.0)  # no ratio passes: plain sweeps only
+        plain = _scaling(G, p, q, 0.01, 5000, 1e-9, f0, g0)
+        assert plain[3] <= 1e-9 and fast[3] <= 1e-9
+        assert plain[2] >= 300
+        assert fast[2] < plain[2] / 2
+        t_fast = np.exp((fast[0][:, None] + fast[1][None, :] - G) / 0.01)
+        t_plain = np.exp((plain[0][:, None] + plain[1][None, :] - G) / 0.01)
+        # two paths to the same plan, each within 1e-9 of the marginals
+        assert np.abs(t_fast - t_plain).max() < 1e-8
+
+    def test_rejected_extrapolation_restores_the_saved_state(self, monkeypatch):
+        # here the step taken at the check after sweep 16 raises the
+        # violation, so the check after sweep 24 restores the state of sweep 16
+        G = np.random.default_rng(0).uniform(0.0, 1.0, (12, 16))
+        p, q = uniform(12), uniform(16)
+        f0, g0 = np.zeros(12), np.zeros(16)
+        assert kernels._CHECK == 8
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        restored = _scaling(G, p, q, 0.005, 24, 0.0, f0, g0)
+        got = _scaling(G, p, q, 0.005, 2000, 1e-9, f0, g0)
+        assert not fallbacks
+        monkeypatch.setattr(kernels, "_RHO_MIN", 1.0)
+        plain_16 = _scaling(G, p, q, 0.005, 16, 0.0, f0, g0)
+        plain_24 = _scaling(G, p, q, 0.005, 24, 0.0, f0, g0)
+        monkeypatch.undo()
+        assert restored[2] == 24
+        assert restored[3] == plain_16[3]
+        assert np.array_equal(restored[0], plain_16[0])
+        assert np.array_equal(restored[1], plain_16[1])
+        assert np.abs(restored[0] - plain_24[0]).max() > 1e-6
+        want = _log_domain(G, p, q, 0.005, 2000, 1e-9, f0, g0)
+        _assert_same_solve(got, want)
+        assert want[3] <= 1e-9
+
+    def test_hands_over_after_an_accepted_extrapolation(self, monkeypatch):
+        # the step taken after sweep 16 is kept at sweep 24, and the scalings
+        # leave the range by sweep 32: the log domain continues from sweep 24
+        G = np.random.default_rng(317).uniform(0.0, 1.0, (16, 12))
+        p, q = uniform(16), uniform(12)
+        f0, g0 = np.zeros(16), np.zeros(12)
+        kept = _scaling(G, p, q, 1.5e-3, 24, 0.0, f0, g0)
+        monkeypatch.setattr(kernels, "_RHO_MIN", 1.0)
+        plain_24 = _scaling(G, p, q, 1.5e-3, 24, 0.0, f0, g0)
+        monkeypatch.undo()
+        assert kept[3] < plain_24[3]
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        got = _scaling(G, p, q, 1.5e-3, 400, 1e-9, f0, g0)
+        monkeypatch.undo()
+        assert len(fallbacks) == 1 and fallbacks[0][-1] == 24
+        want = _log_domain(G, p, q, 1.5e-3, 400, 1e-9, f0, g0)
+        _assert_same_solve(got, want)
+        assert want[3] <= 1e-9
+
+
 class TestGwGradientFast:
     def test_zero_plan(self):
         bx, by = structural_priors(6, 7, 0.3)
