@@ -18,10 +18,11 @@ import numpy as np
 
 
 def _lse_rows(m):
-    """logsumexp along axis 1, safe for -inf rows."""
+    """logsumexp along axis 1, safe for -inf rows. Overwrites m."""
     mx = np.max(m, axis=1)
     safe = np.where(np.isfinite(mx), mx, 0.0)
-    out = safe + np.log(np.sum(np.exp(m - safe[:, None]), axis=1))
+    np.subtract(m, safe[:, None], out=m)
+    out = safe + np.log(np.sum(np.exp(m, out=m), axis=1))
     return np.where(np.isfinite(mx), out, mx)
 
 
@@ -138,9 +139,18 @@ def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, done):
     and the iterates are those of a solve run in this loop from the start.
     """
     q = np.exp(logq)
+    # Every n x m temporary of a sweep is computed in this one buffer. Fresh
+    # ones cost a page fault per page per sweep once the allocator hands them
+    # back to the OS. G is C-contiguous, so buf has the layout the temporaries
+    # had, and each sum adds in the same order.
+    buf = np.empty(G.shape)
+
+    def scaled(shift):
+        np.subtract(shift, G, out=buf)
+        return np.divide(buf, eps, out=buf)
 
     def col_violation(f, g):
-        log_col = _lse_rows(((f[:, None] + g[None, :] - G) / eps).T)
+        log_col = _lse_rows(scaled(np.add(f[:, None], g[None, :], out=buf)).T)
         return np.max(np.abs(np.exp(log_col) - q))
 
     iters = done
@@ -148,8 +158,8 @@ def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, done):
     prev = (col_violation(f, g), f) if done > 0 else None
     saved = None
     for it in range(done + 1, max_iters + 1):
-        g = eps * (logq - _lse_rows(((f[:, None] - G) / eps).T))
-        f = eps * (logp - _lse_rows((g[None, :] - G) / eps))
+        g = eps * (logq - _lse_rows(scaled(f[:, None]).T))
+        f = eps * (logp - _lse_rows(scaled(g[None, :])))
         iters = it
         if it % _CHECK and it != max_iters:
             continue

@@ -1,7 +1,9 @@
 """Key-step discovery: clustering, per-video Potts smoothing, ordering.
 
-Frames of all videos are clustered jointly (k-means++ seeding, Lloyd
-refinement). Each video is then labeled by the exact minimum of a chain
+Frames of all videos are clustered jointly: the best of several k-means
+runs, whose k-means++ seedings are drawn first and whose Lloyd rounds then
+run in lockstep, with one distance product per round for all the runs still
+moving. Each video is then labeled by the exact minimum of a chain
 energy whose unary cost is the squared distance to the cluster centers and
 whose pairwise cost is a Potts penalty on consecutive frames; a Viterbi DP
 with the Potts min trick finds it in O(N*K). Key-step order within a video
@@ -24,29 +26,53 @@ from .priors import background_mask, build_cost_bundle
 from .solver import solve_fgwot
 
 
+# cap on Lloyd rounds per k-means run; a run stops earlier once its
+# assignment repeats
+_LLOYD_ITERS = 100
+
+
 def init_centers(points: np.ndarray, k: int, rng: np.random.Generator,
-                 lloyd_iters: int = 100, restarts: int = 10) -> np.ndarray:
+                 restarts: int = 10) -> np.ndarray:
     """Best of `restarts` k-means runs (k-means++ seeding, Lloyd refinement).
 
     Restarts matter here: a lone run can park a center on diffuse outlier
     mass and merge two real clusters, which a better-SSE run avoids.
+
+    Every run's seeding is drawn first, in run order; Lloyd draws nothing
+    from rng. The Lloyd rounds of all runs then go in lockstep: each round
+    takes every still-moving run's cluster means and assigns the points to
+    the centers of all those runs with one matrix product. A run stops when
+    its assignment repeats, or after _LLOYD_ITERS rounds. The lowest SSE
+    wins, the earliest run on ties.
     """
     pts = np.asarray(points, dtype=np.float64)
     if np.unique(pts, axis=0).shape[0] < k:
         raise DegenerateData(f"need at least {k} distinct points")
+    centers = [_kmeans_pp(pts, k, rng) for _ in range(max(1, restarts))]
+    sq = np.sum(pts * pts, axis=1)
+    assign = _nearest(pts, sq, centers)
+    moving = list(range(len(centers)))
+    for _ in range(_LLOYD_ITERS):
+        if not moving:
+            break
+        new_centers = [_lloyd_means(pts, centers[r], assign[r]) for r in moving]
+        new_assign = _nearest(pts, sq, new_centers)
+        still = []
+        for r, c, a in zip(moving, new_centers, new_assign):
+            if not np.array_equal(a, assign[r]):
+                still.append(r)
+            centers[r], assign[r] = c, a
+        moving = still
     best_centers = None
     best_sse = np.inf
-    for _ in range(max(1, restarts)):
-        centers = _one_kmeans_run(pts, k, rng, lloyd_iters)
-        assign = _nearest(pts, centers)
-        sse = float(np.sum((pts - centers[assign]) ** 2))
+    for c, a in zip(centers, assign):
+        sse = float(np.sum((pts - c[a]) ** 2))
         if sse < best_sse:
-            best_centers, best_sse = centers, sse
+            best_centers, best_sse = c, sse
     return best_centers
 
 
-def _one_kmeans_run(pts: np.ndarray, k: int, rng: np.random.Generator,
-                    lloyd_iters: int) -> np.ndarray:
+def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
@@ -59,29 +85,41 @@ def _one_kmeans_run(pts: np.ndarray, k: int, rng: np.random.Generator,
         else:
             centers[c] = pts[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((pts - centers[c]) ** 2, axis=1))
-    assign = _nearest(pts, centers)
-    for _ in range(lloyd_iters):
-        new_centers = centers.copy()
-        for c in range(k):
-            members = pts[assign == c]
-            if members.shape[0]:
-                new_centers[c] = members.mean(axis=0)
-            else:
-                # revive an empty cluster at the point that fits worst
-                worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
-                new_centers[c] = pts[worst]
-        new_assign = _nearest(pts, new_centers)
-        moved = not np.array_equal(new_assign, assign)
-        centers, assign = new_centers, new_assign
-        if not moved:
-            break
     return centers
 
 
-def _nearest(pts, centers):
-    d2 = np.sum(pts * pts, axis=1)[:, None] - 2.0 * pts @ centers.T \
-        + np.sum(centers * centers, axis=1)[None, :]
-    return np.argmin(d2, axis=1)
+def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    # a mask mean per cluster: a one-hot product is faster but rounds
+    # differently, and slices of the sorted points are exact but slower
+    new_centers = centers.copy()
+    for c in range(centers.shape[0]):
+        members = pts[assign == c]
+        if members.shape[0]:
+            new_centers[c] = members.mean(axis=0)
+        else:
+            # revive an empty cluster at the point that fits worst
+            worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
+            new_centers[c] = pts[worst]
+    return new_centers
+
+
+def _nearest(pts, sq, centers):
+    """Nearest-center index of every point, for each center set in centers.
+
+    sq holds the squared norms of pts. One product covers all the sets. Its
+    columns match pts @ c.T of each set alone bit for bit with OpenBLAS, and
+    doubling is exact, so each set's argmin is the one a lone run takes;
+    tests/test_segmentation.py checks that against the sequential runs.
+    """
+    stacked = np.concatenate(centers)
+    # d2 = sq - 2 G + |c|^2, left to right, in the buffer of the product
+    d2 = (stacked @ pts.T).T
+    np.multiply(d2, 2.0, out=d2)
+    np.subtract(sq[:, None], d2, out=d2)
+    d2 += np.sum(stacked * stacked, axis=1)[None, :]
+    k = centers[0].shape[0]
+    best = np.argmin(d2.reshape(pts.shape[0], len(centers), k), axis=2)
+    return list(best.T)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,84 @@ def sse(points, centers):
     return float(d2.min(axis=1).sum())
 
 
+def reference_init_centers(points, k, rng, lloyd_iters=100, restarts=10, revived=None):
+    """The sequential k-means restarts that init_centers runs in lockstep.
+
+    revived, when given, collects the index of every revived empty cluster.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if np.unique(pts, axis=0).shape[0] < k:
+        raise DegenerateData(f"need at least {k} distinct points")
+    best_centers = None
+    best_sse = np.inf
+    for _ in range(max(1, restarts)):
+        centers = reference_one_kmeans_run(pts, k, rng, lloyd_iters, revived)
+        assign = reference_nearest(pts, centers)
+        sse = float(np.sum((pts - centers[assign]) ** 2))
+        if sse < best_sse:
+            best_centers, best_sse = centers, sse
+    return best_centers
+
+
+def reference_one_kmeans_run(pts, k, rng, lloyd_iters, revived):
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[c] = pts[rng.integers(n)]
+        else:
+            centers[c] = pts[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((pts - centers[c]) ** 2, axis=1))
+    assign = reference_nearest(pts, centers)
+    for _ in range(lloyd_iters):
+        new_centers = centers.copy()
+        for c in range(k):
+            members = pts[assign == c]
+            if members.shape[0]:
+                new_centers[c] = members.mean(axis=0)
+            else:
+                if revived is not None:
+                    revived.append(c)
+                worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
+                new_centers[c] = pts[worst]
+        new_assign = reference_nearest(pts, new_centers)
+        moved = not np.array_equal(new_assign, assign)
+        centers, assign = new_centers, new_assign
+        if not moved:
+            break
+    return centers
+
+
+def reference_nearest(pts, centers):
+    d2 = np.sum(pts * pts, axis=1)[:, None] - 2.0 * pts @ centers.T \
+        + np.sum(centers * centers, axis=1)[None, :]
+    return np.argmin(d2, axis=1)
+
+
+def repeated_point_pools():
+    """Pools drawn with replacement from a few distinct points, so they hold
+    exact duplicates, plus one jittered pool at the feature width of segment."""
+    pools = []
+    for seed, (n, m, d) in enumerate([(9, 6, 1), (14, 7, 2), (40, 10, 3), (60, 25, 5)]):
+        g = np.random.default_rng(seed)
+        base = np.round(g.normal(size=(m, d)), 1)
+        pools.append(base[g.integers(m, size=n)])
+    g = np.random.default_rng(99)
+    blobs = 3.0 * g.normal(size=(6, 128))
+    pool = blobs[g.integers(6, size=300)] + g.normal(size=(300, 128))
+    pools.append(np.concatenate([pool, pool[:40]]))
+    return pools
+
+
+# 1-D pool on which the first k=4 run from default_rng(0) empties a cluster
+REVIVAL_POOL = np.array(
+    [1.8, 8.6, 1.1, 1.8, 8.9, 8.6, 7.6, 5.5, 4.7, 5.5, 1.8, 8.6, 1.1]
+)[:, None]
+
+
 def brute_force_min_energy(problem: GraphCutProblem) -> float:
     """Exhaustive minimum over all K^N labelings, vectorized."""
     n, k = problem.n, problem.k
@@ -124,6 +202,31 @@ class TestInitCenters:
         a = init_centers(pts, 4, np.random.default_rng(5))
         b = init_centers(pts, 4, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("restarts", [1, 3, 10])
+    def test_same_centers_and_rng_state_as_sequential_runs(self, restarts):
+        for i, pts in enumerate(repeated_point_pools()):
+            for k in range(1, 7):
+                if np.unique(pts, axis=0).shape[0] < k:
+                    continue
+                want_rng = np.random.default_rng(1000 + 10 * i + k)
+                got_rng = np.random.default_rng(1000 + 10 * i + k)
+                want = reference_init_centers(pts, k, want_rng, restarts=restarts)
+                got = init_centers(pts, k, got_rng, restarts=restarts)
+                assert np.array_equal(got, want), (i, k)
+                assert got_rng.random() == want_rng.random(), (i, k)
+
+    @pytest.mark.parametrize("restarts", [1, 3, 10])
+    def test_same_centers_through_empty_cluster_revival(self, restarts):
+        revived = []
+        want_rng = np.random.default_rng(0)
+        want = reference_init_centers(REVIVAL_POOL, 4, want_rng, restarts=restarts,
+                                      revived=revived)
+        assert revived  # the pool reaches the revival branch
+        got_rng = np.random.default_rng(0)
+        got = init_centers(REVIVAL_POOL, 4, got_rng, restarts=restarts)
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
 
 
 class TestLabelingEnergy:
