@@ -10,22 +10,79 @@ background on a real frame still costs a false negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data_model import BACKGROUND, LabelSequence
-from .errors import ConfigError, LengthMismatch, ShapeMismatch
+from .errors import ConfigError, LengthMismatch, NonFiniteValue, ShapeMismatch
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum-cost matching of a 2-D cost matrix; covers every row when rows <= columns."""
+    """Minimum-cost matching of a finite 2-D cost matrix, as sorted (row, column) pairs.
+
+    Every row is matched when rows <= columns, every column when rows >
+    columns; an empty matrix gives no pairs. The pairs are those of
+    ``scipy.optimize.linear_sum_assignment``, ties included.
+    """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise ShapeMismatch(f"matching needs a 2-D cost matrix, got {c.shape}")
-    rows, cols = linear_sum_assignment(c)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    if not np.isfinite(c).all():
+        raise NonFiniteValue("matching needs a finite cost matrix")
+    if c.shape[0] > c.shape[1]:
+        return sorted((i, j) for j, i in _shortest_augmenting_paths(c.T))
+    return _shortest_augmenting_paths(c)
+
+
+def _shortest_augmenting_paths(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Rows <= columns: the shortest augmenting path method with dual updates
+    (Jonker and Volgenant 1987, in the form of Crouse 2016), step for step as
+    scipy's rectangular_lsap.cpp, so that equal reduced costs break the same way."""
+    nr, nc = cost.shape
+    c = cost.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        remaining = list(range(nc - 1, -1, -1))  # reversed: a constant cost gives the identity
+        spc = [math.inf] * nc  # shortest path cost to each column
+        in_sr, in_sc = [False] * nr, [False] * nc
+        i, sink, min_val = cur, -1, 0.0
+        while sink == -1:
+            in_sr[i] = True
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + c[i][j] - u[i] - v[j]
+                if r < spc[j]:
+                    path[j], spc[j] = i, r
+                # among equal costs, a free column ends the path sooner
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_sc[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(nr):
+            if in_sr[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if in_sc[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return list(enumerate(col4row))
 
 
 @dataclass(frozen=True)

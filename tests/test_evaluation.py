@@ -1,10 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rgwot.data_model import LabelSequence
-from rgwot.errors import ConfigError, LengthMismatch, ShapeMismatch
+from rgwot.errors import ConfigError, LengthMismatch, NonFiniteValue, ShapeMismatch
 from rgwot.evaluation import (
     MetricsReport,
     evaluate,
@@ -50,9 +54,74 @@ class TestHungarian:
         overlap = np.array([[10.0, 0.0, 0.0], [0.0, 8.0, 1.0]])
         assert hungarian(-overlap) == [(0, 0), (1, 1)]
 
+    def test_rectangular_tall_matches_every_column(self):
+        overlap = np.array([[10.0, 0.0], [0.0, 1.0], [0.0, 8.0]])
+        assert hungarian(-overlap) == [(0, 0), (2, 1)]
+
     def test_rejects_non_matrix(self):
         with pytest.raises(ShapeMismatch):
             hungarian(np.ones(3))
+        with pytest.raises(ShapeMismatch):
+            hungarian(np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cost(self, bad):
+        cost = np.zeros((3, 4))
+        cost[1, 2] = bad
+        with pytest.raises(NonFiniteValue):
+            hungarian(cost)
+        with pytest.raises(NonFiniteValue):
+            hungarian(cost.T)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_cost_has_no_pairs(self, shape):
+        assert hungarian(np.zeros(shape)) == []
+
+    def test_constant_cost_gives_identity(self):
+        assert hungarian(np.zeros((3, 5))) == [(0, 0), (1, 1), (2, 2)]
+        assert hungarian(np.zeros((5, 3))) == [(0, 0), (1, 1), (2, 2)]
+
+
+def _oracle_corpus(seed=11, per_kind=1000):
+    """Seeded costs up to 9x9, wide and tall: uniform, small-integer (many
+    ties), and negated sparse overlaps shaped as `evaluate` builds them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(per_kind):
+        rows, cols = (int(d) for d in rng.integers(1, 10, size=2))
+        yield rng.random((rows, cols))
+        yield rng.integers(0, 4, size=(rows, cols)).astype(np.float64)
+        k = int(rng.integers(1, 8))
+        steps = int(rng.integers(1, 10))
+        overlap = np.zeros((k, max(k, steps)))
+        hits = rng.random(overlap.shape) < 0.25
+        overlap[hits] = rng.integers(1, 40, size=int(hits.sum()))
+        yield -overlap
+
+
+class TestHungarianAgainstScipy:
+    def test_same_pairs_as_linear_sum_assignment(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        shapes = set()
+        count = 0
+        for cost in _oracle_corpus():
+            rows, cols = optimize.linear_sum_assignment(cost)
+            assert hungarian(cost) == sorted(zip(rows.tolist(), cols.tolist())), cost
+            shapes.add(np.sign(cost.shape[0] - cost.shape[1]))
+            count += 1
+        assert count == 3000 and shapes == {-1, 0, 1}
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize took most of the package's import time; only tests and
+    # perfbench may load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import rgwot.cli, sys; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEvaluate:
