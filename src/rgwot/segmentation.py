@@ -248,7 +248,7 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     """
     _check_potts_weight(beta)  # before the alignment solves, not after
     embeddings = [enc.forward(v.data)[0] for v in videos]
-    if use_masks and hyper.use_virtual and hyper.zeta > 0 and len(videos) >= 2:
+    if use_masks and hyper.zeta > 0 and len(videos) >= 2:
         masks = compute_segment_masks(embeddings, hyper, on_coupling)
     else:
         masks = [np.zeros(e.shape[0], dtype=bool) for e in embeddings]

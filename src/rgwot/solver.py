@@ -4,12 +4,14 @@
 runs the outer linearization loop: at each step the structural term is
 linearized into G = (1 - alpha) * C_tilde + 2 * alpha * (C_x T C_y) and T is
 replaced by the entropic plan for G, warm-starting the dual potentials. The
-loop stops when the L1 change of T falls below the tolerance.
+loop stops when the L1 change of T falls below the tolerance, or after the
+first solve when the structural term is zero at every T (alpha = 0, or an
+empty C_x band).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,6 +154,9 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     T starts at the product coupling p q^T. Each iteration re-linearizes the
     structural term and re-solves the entropic linear problem with warm
     potentials; convergence is an L1 change of T at most hyper.solver_tol.
+    When the structural term is zero at every T, the first plan is the fixed
+    point: the solve is one Sinkhorn solve of (1 - alpha) * C_tilde, reported
+    with final_delta 0 and converged as that inner solve converged.
     The result counts the inner solves that stopped at the sweep cap with
     their column violation above the inner tolerance, and keeps the worst
     inner violation.
@@ -159,11 +164,6 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     alpha = hyper.alpha
     eps = hyper.epsilon
     p, q = bundle.p, bundle.q
-    if alpha == 0.0:
-        plain = sinkhorn(bundle.C_tilde, p, q, eps, hyper.solver_sinkhorn_iters, _inner_tol(hyper))
-        parts = fgwot_objective(bundle, plain.T, alpha, eps)
-        return replace(plain, outer_iterations=1, final_delta=0.0,
-                       objective_trace=(parts.total,), virtual=bundle.virtual)
     inner_tol = _inner_tol(hyper)
     t = np.outer(p, q)
     f = g = None
@@ -181,12 +181,17 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
         )
         capped += violation > inner_tol
         worst = max(worst, violation)
-        delta = float(np.abs(t_new - t).sum())
         # the objective of t_new and the next linearization share its product
         product = _gw_pad(bundle, t_new)
         trace.append(fgwot_objective(bundle, t_new, alpha, eps, product).total)
-        t = t_new
         iters = it
+        # alpha * C_x T C_y is zero at every T when alpha is 0 or the C_x band
+        # is empty, so the linearized cost never changes and t_new is the fixed point
+        if alpha == 0.0 or bundle.band_x.radius == 0:
+            t, delta, converged = t_new, 0.0, violation <= inner_tol
+            break
+        delta = float(np.abs(t_new - t).sum())
+        t = t_new
         if delta <= hyper.solver_tol:
             converged = True
             break

@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from rgwot.data_model import FrameFeatures, Hyperparams
+from rgwot.data_model import BACKGROUND, FrameFeatures, Hyperparams
 from rgwot.encoder import Encoder
 from rgwot.errors import ConfigError, DegenerateData, EmptyVideo
+from rgwot.priors import background_mask
 from rgwot.segmentation import (
     GraphCutProblem,
     alpha_expansion,
@@ -456,6 +457,30 @@ class TestSegmentTask:
         for seq in res.labels:
             assert seq.labels[0] == -1
             assert np.all(seq.labels[1:] >= 0)
+
+    def test_masks_without_virtual_frame(self):
+        """use_virtual=False still masks: with no virtual frame, four identical
+        alien frames share the four orphaned frames of the partner video, so
+        no single match claims half of their mass on either side."""
+        d = 12
+        eye = np.eye(d, dtype=np.float32)
+        alien = (-np.ones(d) / np.sqrt(d)).astype(np.float32)
+        videos = [
+            FrameFeatures("with-aliens", np.vstack([alien] * 4 + [eye[4:]])),
+            FrameFeatures("plain", eye.copy()),
+        ]
+        hyper = Hyperparams(embed_dim=d, hidden_dim=d, zeta=0.5, use_virtual=False)
+        couplings = []
+        res = segment_task(videos, axis_encoder(d), k=2, beta=0.0, hyper=hyper,
+                           rng=np.random.default_rng(0), use_masks=True,
+                           on_coupling=couplings.append)
+        assert len(couplings) == len(videos)
+        assert not any(c.virtual for c in couplings)
+        flagged = [background_mask(c, hyper.zeta)[0] for c in couplings]
+        assert all(np.array_equal(mask[:4], [True] * 4) for mask in flagged)
+        for seq, mask in zip(res.labels, flagged):
+            assert np.all(seq.labels[mask] == BACKGROUND)
+            assert np.all(seq.labels[~mask] >= 0)
 
     def test_everything_masked_raises(self):
         # entropic couplings keep mass off the best cell, so no frame can

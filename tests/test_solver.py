@@ -361,17 +361,32 @@ class TestObjective:
 
 
 class TestSolveFgwot:
-    def test_alpha_zero_equals_plain_sinkhorn(self, rng):
-        bundle, hyper = _bundle(rng, virtual=True)
-        hyper = replace(hyper, alpha=0.0)
+    @pytest.mark.parametrize("alpha, n, r", [(0.0, 12, 0.1), (0.3, 32, 0.02)],
+                             ids=["alpha-zero", "radius-zero"])
+    def test_structure_free_is_one_sinkhorn_solve(self, rng, monkeypatch, alpha, n, r):
+        # with alpha = 0, or an empty C_x band (floor(32 * 0.02) = 0, the
+        # training clips), the structural term is zero at every plan, so the
+        # first entropic plan is the fixed point and is returned as it is
+        bundle, hyper = _bundle(rng, n=n, m=n, virtual=True, r=r)
+        hyper = replace(hyper, alpha=alpha)
+        assert (bundle.band_x.radius == 0) == (alpha > 0)
+        inner_tol = min(1e-9, hyper.solver_tol * 1e-3)
+        want = sinkhorn((1 - alpha) * bundle.C_tilde, bundle.p, bundle.q, hyper.epsilon,
+                        hyper.solver_sinkhorn_iters, inner_tol)
+        calls = _count_calls(monkeypatch, "sinkhorn_log")
         got = solve_fgwot(bundle, hyper)
-        want = sinkhorn(bundle.C_tilde, bundle.p, bundle.q, hyper.epsilon,
-                        hyper.solver_sinkhorn_iters,
-                        min(1e-9, hyper.solver_tol * 1e-3))
+        assert len(calls) == 1
         assert np.array_equal(got.T, want.T)
         assert got.outer_iterations == 1
-        assert len(got.objective_trace) == 1
+        assert got.final_delta == 0.0
+        assert got.objective_trace == (fgwot_objective(bundle, got.T, alpha, hyper.epsilon).total,)
+        assert (got.converged, got.inner_capped) == (want.converged, want.inner_capped) == (True, 0)
         assert got.virtual
+        capped = solve_fgwot(bundle, replace(hyper, solver_sinkhorn_iters=1))
+        assert len(calls) == 2
+        assert capped.converged is False
+        assert capped.inner_capped == 1
+        assert capped.outer_iterations == 1 and capped.final_delta == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_feasibility_of_fused_solution(self, seed):
