@@ -2,7 +2,7 @@
 
 Kernels:
   sinkhorn_log       Sinkhorn sweeps in the scaling domain with safeguarded
-                     extrapolation, one log-domain handover
+                     extrapolation, restarted in the log domain on overflow
   banded_gw_product  C_x @ T @ C_y for the banded structural costs
   cidm_parts         temporal contrastive loss value and embedding gradient
 
@@ -26,7 +26,7 @@ def _lse_rows(m):
     return np.where(np.isfinite(mx), out, mx)
 
 
-# at a check, scalings u, v outside this range hand over to the log domain
+# at a check, scalings u, v outside this range restart the solve in the log domain
 _SCALING_MIN, _SCALING_MAX = 1e-100, 1e100
 # sweeps per check of the violation and the range. On a 33x33 clip a check
 # costs more than the two mat-vecs of a sweep; the Sinkhorn solves of a
@@ -72,18 +72,18 @@ def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
     as passed for the next step.
 
     A check after a plain block whose scalings leave [1e-100, 1e100], or
-    whose violation is not finite, hands over to the log-domain loop from the
-    potentials of the last check that passed, and that loop redoes the sweeps
-    since then and finishes the solve. An inf or nan scaling leaves the
-    scalings of every later sweep out of range, so it shows at the next
-    check. An overflowed entry of K, or an all-zero row or column, makes the
-    first sweep's scalings 0, inf or nan, so the first check fails and the
-    handover starts from (f0, g0). Both loops check after the same sweeps
-    and extrapolate under the same rule, and iters counts the plain sweeps of
-    both. They take the same iterates unless an extrapolated block leaves the
-    scaling range, which this loop rejects and the log-domain loop, having no
-    range, may keep, or rounding decides one of the comparisons, as when a
-    stalled solve has rho within rounding of 1.
+    whose violation is not finite, restarts the solve in the log-domain loop:
+    it returns _sinkhorn_log_domain from (f0, g0), the reference solve, which
+    runs its own sweeps from sweep 0; iters then counts only those. An inf
+    or nan scaling leaves the scalings of every later sweep out of range, so
+    it shows at the next check. An overflowed entry of K, or an all-zero row
+    or column, makes the first sweep's scalings 0, inf or nan, so the first
+    check fails. An extrapolated block that leaves the range is restored,
+    not handed over. Both loops check after the same sweeps and extrapolate
+    under the same rule. They take the same iterates unless an extrapolated
+    block leaves the scaling range, which this loop rejects and the
+    log-domain loop, having no range, may keep, or rounding decides one of
+    the comparisons, as when a stalled solve has rho within rounding of 1.
     """
     p = np.exp(logp)
     q = np.exp(logq)
@@ -109,8 +109,7 @@ def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
                         and math.isfinite(violation))
             extrapolated, saved = saved, None
             if extrapolated is None and not in_range:
-                return _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol,
-                                            f0 + eps * np.log(u), g0 + eps * np.log(v), start)
+                return _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f0, g0)
             if extrapolated is not None and not (in_range and violation < extrapolated[3]):
                 u_new, v_new, ktu, violation = extrapolated
             base, prev = prev, (violation, u_new)
@@ -127,16 +126,14 @@ def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
     return f0 + eps * np.log(u), g0 + eps * np.log(v), iters, violation
 
 
-def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, done):
-    """The same sweeps with log-sum-exps over G, continuing after sweep done.
+def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g):
+    """The same sweeps from (f, g) with log-sum-exps over G.
 
-    The violation is checked after the same sweeps as in sinkhorn_log:
-    multiples of _CHECK and sweep max_iters. The extrapolation is the same
-    step on the potentials, f <- f + rho / (1 - rho) * (f - f_prev), under
-    the same rule, kept only if the violation fell below the saved one. A
-    handover (done > 0) comes from a check that passed, so the violation of
-    the handed-over (f, g) serves as the check before the first one here,
-    and the iterates are those of a solve run in this loop from the start.
+    The reference solve of sinkhorn_log, and its fallback. The violation is
+    checked after the same sweeps: multiples of _CHECK and sweep max_iters.
+    The extrapolation is the same step on the potentials,
+    f <- f + rho / (1 - rho) * (f - f_prev), under the same rule, kept only
+    if the violation fell below the saved one.
     """
     q = np.exp(logq)
     # Every n x m temporary of a sweep is computed in this one buffer. Fresh
@@ -149,21 +146,18 @@ def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, done):
         np.subtract(shift, G, out=buf)
         return np.divide(buf, eps, out=buf)
 
-    def col_violation(f, g):
-        log_col = _lse_rows(scaled(np.add(f[:, None], g[None, :], out=buf)).T)
-        return np.max(np.abs(np.exp(log_col) - q))
-
-    iters = done
+    iters = 0
     violation = np.inf
-    prev = (col_violation(f, g), f) if done > 0 else None
+    prev = None
     saved = None
-    for it in range(done + 1, max_iters + 1):
+    for it in range(1, max_iters + 1):
         g = eps * (logq - _lse_rows(scaled(f[:, None]).T))
         f = eps * (logp - _lse_rows(scaled(g[None, :])))
         iters = it
         if it % _CHECK and it != max_iters:
             continue
-        violation = col_violation(f, g)
+        log_col = _lse_rows(scaled(np.add(f[:, None], g[None, :], out=buf)).T)
+        violation = np.max(np.abs(np.exp(log_col) - q))
         extrapolated, saved = saved, None
         if extrapolated is not None and not violation < extrapolated[2]:
             f, g, violation = extrapolated

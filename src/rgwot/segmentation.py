@@ -46,8 +46,9 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator,
     wins, the earliest run on ties.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if np.unique(pts, axis=0).shape[0] < k:
-        raise DegenerateData(f"need at least {k} distinct points")
+    distinct = np.unique(pts, axis=0).shape[0]
+    if distinct < k:
+        raise DegenerateData(f"need at least {k} distinct points, got {distinct}")
     centers = [_kmeans_pp(pts, k, rng) for _ in range(max(1, restarts))]
     sq = np.sum(pts * pts, axis=1)
     assign = _nearest(pts, sq, centers)
@@ -160,16 +161,11 @@ def alpha_expansion(problem: GraphCutProblem):
     cost[i, l] = unary[i, l] + min(cost[i-1, l], min(cost[i-1]) + beta), and
     a frame keeps its label when staying costs no more than switching.
 
-    Returns (labels, energy_trace). The trace starts at the energy of the
-    unary argmin labeling; the DP labeling is appended and returned only when
-    it is lower by more than 1e-12, so the argmin labeling is kept on ties.
+    Returns (labels, energy_trace); the trace has one entry, the energy of
+    the returned labeling.
     """
     unary = problem.unary
     beta = problem.pairwise_weight
-    labels = np.argmin(unary, axis=1)
-    trace = [labeling_energy(problem, labels)]
-    if problem.n < 2:
-        return labels, trace
     back = np.empty(unary.shape, dtype=np.int64)
     cost = unary[0].astype(np.float64)
     for i in range(1, problem.n):
@@ -182,11 +178,7 @@ def alpha_expansion(problem: GraphCutProblem):
     path[-1] = np.argmin(cost)
     for i in range(problem.n - 1, 0, -1):
         path[i - 1] = back[i, path[i]]
-    energy = labeling_energy(problem, path)
-    if energy < trace[0] - 1e-12:
-        labels = path
-        trace.append(energy)
-    return labels, trace
+    return path, [labeling_energy(problem, path)]
 
 
 def keystep_order(labels: np.ndarray) -> list[int]:
@@ -245,6 +237,8 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     With use_masks, background frames are detected by pairwise alignment
     first, excluded from clustering, and forced to label BACKGROUND.
     on_coupling, when given, receives the coupling of each of those solves.
+    Each video's energy trace has one entry, the Potts energy of its labels
+    before the masked frames are set to BACKGROUND.
     """
     _check_potts_weight(beta)  # before the alignment solves, not after
     embeddings = [enc.forward(v.data)[0] for v in videos]
@@ -253,8 +247,6 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     else:
         masks = [np.zeros(e.shape[0], dtype=bool) for e in embeddings]
     pool = np.concatenate([e[~m] for e, m in zip(embeddings, masks)], axis=0)
-    if pool.shape[0] < k:
-        raise DegenerateData("all frames masked as background")
     centers = init_centers(pool, k, rng)
 
     label_seqs = []

@@ -177,7 +177,7 @@ class TestInitCenters:
 
     def test_fewer_distinct_points_than_k(self, rng):
         pts = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]]), 5, axis=0)
-        with pytest.raises(DegenerateData):
+        with pytest.raises(DegenerateData, match="need at least 3 distinct points, got 2"):
             init_centers(pts, 3, rng)
 
     def test_within_5_percent_of_best_of_fifty(self, rng):
@@ -296,6 +296,17 @@ class TestAlphaExpansion:
             labels, _ = alpha_expansion(problem)
             got = labeling_energy(problem, labels)
             assert got == pytest.approx(chain_dp_min(problem.unary, beta), abs=1e-9)
+
+    def test_single_frame_takes_the_unary_argmin(self):
+        unary = np.array([[0.4, 0.1, 0.3]])
+        labels, trace = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=1.0))
+        assert labels.tolist() == [1]
+        assert trace == [pytest.approx(0.1)]
+
+    def test_trace_is_the_energy_of_the_labels(self, rng):
+        problem = GraphCutProblem(unary=rng.uniform(size=(25, 4)), pairwise_weight=0.7)
+        labels, trace = alpha_expansion(problem)
+        assert trace == [labeling_energy(problem, labels)]
 
     def test_trace_never_increases(self):
         for seed in range(20):
@@ -481,6 +492,14 @@ class TestSegmentTask:
         for seq, mask in zip(res.labels, flagged):
             assert np.all(seq.labels[mask] == BACKGROUND)
             assert np.all(seq.labels[~mask] >= 0)
+
+    def test_too_few_frames_without_masks_names_the_count(self, hyper):
+        # 6 frames cannot seed 7 clusters; nothing was masked, so the error
+        # must not blame the masks
+        videos = blob_videos(n_videos=2, frames_per_step=1)
+        with pytest.raises(DegenerateData, match="need at least 7 distinct points, got 6"):
+            segment_task(videos, axis_encoder(8), k=7, beta=0.1, hyper=hyper,
+                         rng=np.random.default_rng(0), use_masks=False)
 
     def test_everything_masked_raises(self):
         # entropic couplings keep mass off the best cell, so no frame can

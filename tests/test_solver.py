@@ -88,7 +88,7 @@ class TestSinkhorn:
 
 def _log_domain(G, p, q, eps, max_iters, tol, f0, g0):
     return kernels._sinkhorn_log_domain(G, np.log(p), np.log(q), eps, max_iters, tol,
-                                        f0.copy(), g0.copy(), 0)
+                                        f0.copy(), g0.copy())
 
 
 def _scaling(G, p, q, eps, max_iters, tol, f0, g0):
@@ -113,8 +113,17 @@ def _assert_same_solve(got, want):
     assert np.abs(got[1] - want[1]).max() < 1e-12
 
 
+def _assert_restarted(got, want):
+    """A handover returns the log-domain solve from (f0, g0) bit for bit."""
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert got[3] == want[3]
+
+
 class TestSinkhornKernel:
-    """The scaling-domain sweep against the log-domain loop it replaces."""
+    """The scaling-domain sweep against the log-domain loop, which is both the
+    reference solve and the fallback a failed check restarts from (f0, g0)."""
 
     @pytest.mark.parametrize("eps", [0.07, 0.01])
     @pytest.mark.parametrize("warm", [False, True])
@@ -140,10 +149,12 @@ class TestSinkhornKernel:
         G = 1.0 + rng.uniform(0.0, 1.0, (20, 24))
         p, q = uniform(20), uniform(24)
         assert not np.exp(-G / 1e-3).any()
+        want = _log_domain(G, p, q, 1e-3, 5000, 1e-7, np.zeros(20), np.zeros(24))
         fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
-        f, g, iters, violation = _scaling(G, p, q, 1e-3, 5000, 1e-7,
-                                          np.zeros(20), np.zeros(24))
+        got = _scaling(G, p, q, 1e-3, 5000, 1e-7, np.zeros(20), np.zeros(24))
         assert len(fallbacks) == 1
+        _assert_restarted(got, want)
+        f, g, _, violation = got
         assert violation <= 1e-7
         t = np.exp((f[:, None] + g[None, :] - G) / 1e-3)
         assert np.abs(t.sum(axis=1) - p).max() < 1e-6
@@ -163,23 +174,24 @@ class TestSinkhornKernel:
             got = _scaling(G, p, q, eps, 300, 1e-9, f0, g0)
             monkeypatch.undo()
             assert len(fallbacks) == 1
-            assert fallbacks[0][-1] == 0  # the failed first sweep is redone in the log domain
-            _assert_same_solve(got, want)
+            _assert_restarted(got, want)
 
-    def test_hands_over_from_the_last_passed_check(self, monkeypatch):
-        # the scalings first leave the range at sweep 12, so the check after
-        # sweep 16 fails and the log domain redoes sweeps 9.. from sweep 8
+    def test_restarts_after_a_passed_check(self, monkeypatch):
+        # the scalings first leave the range at sweep 12: the check after
+        # sweep 8 passes, the one after sweep 16 fails, and the solve restarts
+        # in the log domain from (f0, g0)
         G = np.random.default_rng(745).uniform(0.0, 1.0, (8, 30))
         p, q = uniform(8), uniform(30)
         f0, g0 = np.zeros(8), np.zeros(30)
         assert kernels._CHECK == 8
         fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        _scaling(G, p, q, 2e-3, 8, 0.0, f0, g0)
+        assert not fallbacks
         got = _scaling(G, p, q, 2e-3, 200, 1e-9, f0, g0)
         monkeypatch.undo()
         assert len(fallbacks) == 1
-        assert fallbacks[0][-1] == 8
         want = _log_domain(G, p, q, 2e-3, 200, 1e-9, f0, g0)
-        _assert_same_solve(got, want)
+        _assert_restarted(got, want)
 
     def test_overflowing_warm_start_hands_over_after_sweep_zero(self, rng, monkeypatch):
         # f0[2] = 60 at eps = 0.07 overflows row 2 of K = exp((f0 + g0 - G)/eps)
@@ -191,9 +203,9 @@ class TestSinkhornKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = _scaling(G, p, q, 0.07, 200, 1e-9, f0, np.zeros(12))
-        assert len(fallbacks) == 1 and fallbacks[0][-1] == 0
+        assert len(fallbacks) == 1
         want = _log_domain(G, p, q, 0.07, 200, 1e-9, f0, np.zeros(12))
-        _assert_same_solve(got, want)
+        _assert_restarted(got, want)
         assert want[3] <= 1e-9
 
 
@@ -236,13 +248,16 @@ class TestSinkhornKernel:
         _assert_same_solve(got, want)
         assert want[3] <= 1e-9
 
-    def test_hands_over_after_an_accepted_extrapolation(self, monkeypatch):
+    def test_restarts_after_an_accepted_extrapolation(self, monkeypatch):
         # the step taken after sweep 16 is kept at sweep 24, and the scalings
-        # leave the range by sweep 32: the log domain continues from sweep 24
+        # leave the range by sweep 32: the solve restarts in the log domain
+        # from (f0, g0)
         G = np.random.default_rng(317).uniform(0.0, 1.0, (16, 12))
         p, q = uniform(16), uniform(12)
         f0, g0 = np.zeros(16), np.zeros(12)
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
         kept = _scaling(G, p, q, 1.5e-3, 24, 0.0, f0, g0)
+        assert not fallbacks
         monkeypatch.setattr(kernels, "_RHO_MIN", 1.0)
         plain_24 = _scaling(G, p, q, 1.5e-3, 24, 0.0, f0, g0)
         monkeypatch.undo()
@@ -250,9 +265,9 @@ class TestSinkhornKernel:
         fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
         got = _scaling(G, p, q, 1.5e-3, 400, 1e-9, f0, g0)
         monkeypatch.undo()
-        assert len(fallbacks) == 1 and fallbacks[0][-1] == 24
+        assert len(fallbacks) == 1
         want = _log_domain(G, p, q, 1.5e-3, 400, 1e-9, f0, g0)
-        _assert_same_solve(got, want)
+        _assert_restarted(got, want)
         assert want[3] <= 1e-9
 
 
