@@ -41,62 +41,96 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator,
     Every run's seeding is drawn first, in run order; Lloyd draws nothing
     from rng. The Lloyd rounds of all runs then go in lockstep: each round
     takes every still-moving run's cluster means and assigns the points to
-    the centers of all those runs with one matrix product. A run stops when
-    its assignment repeats, or after _LLOYD_ITERS rounds. The lowest SSE
-    wins, the earliest run on ties.
+    the centers of all those runs with one matrix product; a round takes
+    new means only of the clusters whose members changed (_lloyd_means). A
+    run stops when its assignment repeats, or after _LLOYD_ITERS rounds. The
+    lowest SSE wins, the earliest run on ties.
     """
     pts = np.asarray(points, dtype=np.float64)
-    distinct = np.unique(pts, axis=0).shape[0]
-    if distinct < k:
-        raise DegenerateData(f"need at least {k} distinct points, got {distinct}")
-    centers = [_kmeans_pp(pts, k, rng) for _ in range(max(1, restarts))]
+    # k distinct values in one column already make k distinct points; only
+    # otherwise are the whole rows sorted to count them
+    if np.unique(pts[:, 0]).size < k:
+        distinct = np.unique(pts, axis=0).shape[0]
+        if distinct < k:
+            raise DegenerateData(f"need at least {k} distinct points, got {distinct}")
+    buf = np.empty_like(pts)
+    centers = [_kmeans_pp(pts, k, rng, buf) for _ in range(max(1, restarts))]
     sq = np.sum(pts * pts, axis=1)
     assign = _nearest(pts, sq, centers)
+    # the assignment each run's centers were averaged from; None while they
+    # are still the k-means++ points
+    averaged = [None] * len(centers)
     moving = list(range(len(centers)))
     for _ in range(_LLOYD_ITERS):
         if not moving:
             break
-        new_centers = [_lloyd_means(pts, centers[r], assign[r]) for r in moving]
+        new_centers = [_lloyd_means(pts, centers[r], assign[r], averaged[r]) for r in moving]
         new_assign = _nearest(pts, sq, new_centers)
         still = []
         for r, c, a in zip(moving, new_centers, new_assign):
             if not np.array_equal(a, assign[r]):
                 still.append(r)
-            centers[r], assign[r] = c, a
+            centers[r], assign[r], averaged[r] = c, a, assign[r]
         moving = still
     best_centers = None
     best_sse = np.inf
     for c, a in zip(centers, assign):
-        sse = float(np.sum((pts - c[a]) ** 2))
+        np.take(c, a, axis=0, out=buf)
+        sse = float(np.sum(_square_diff(pts, buf, buf)))
         if sse < best_sse:
             best_centers, best_sse = c, sse
     return best_centers
 
 
-def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _square_diff(pts, other, out):
+    # (pts - other) ** 2 written into out, which may alias other
+    np.subtract(pts, other, out=out)
+    return np.square(out, out=out)
+
+
+def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator,
+               buf: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
     for c in range(1, k):
+        # squared distance to the nearest chosen center; none is needed
+        # after the last draw
+        d = np.sum(_square_diff(pts, centers[c - 1], buf), axis=1)
+        d2 = d if c == 1 else np.minimum(d2, d, out=d2)
         total = d2.sum()
         if total <= 0:
-            # all remaining mass sits on chosen centers; pick any unseen point
+            # init_centers checked for k distinct points, so this is reached
+            # only when the squared distances underflow; draw any point
             centers[c] = pts[rng.integers(n)]
         else:
             centers[c] = pts[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((pts - centers[c]) ** 2, axis=1))
     return centers
 
 
-def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    # a mask mean per cluster: a one-hot product is faster but rounds
-    # differently, and slices of the sorted points are exact but slower
+def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray,
+                 averaged: np.ndarray | None) -> np.ndarray:
+    """Cluster means of assign; centers were the means of averaged.
+
+    A cluster with the same members in both assignments keeps its center,
+    which is that mean bit for bit: the same rows summed in the same order.
+    All clusters are recomputed in order when averaged is None (the centers
+    are k-means++ points) or a cluster is empty: a revived center is a point,
+    not a mean, and a revival reads the centers updated before it.
+    """
+    k = centers.shape[0]
+    counts = np.bincount(assign, minlength=k)
     new_centers = centers.copy()
-    for c in range(centers.shape[0]):
-        members = pts[assign == c]
-        if members.shape[0]:
-            new_centers[c] = members.mean(axis=0)
+    if averaged is None or not counts.all():
+        todo = range(k)
+    else:
+        moved = assign != averaged
+        todo = np.union1d(assign[moved], averaged[moved])
+    for c in todo:
+        if counts[c]:
+            # the arithmetic of members.mean(axis=0), without the wrapper
+            idx = np.flatnonzero(assign == c)
+            new_centers[c] = np.add.reduce(pts[idx], axis=0) / idx.size
         else:
             # revive an empty cluster at the point that fits worst
             worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
@@ -107,20 +141,32 @@ def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np
 def _nearest(pts, sq, centers):
     """Nearest-center index of every point, for each center set in centers.
 
-    sq holds the squared norms of pts. One product covers all the sets. Its
-    columns match pts @ c.T of each set alone bit for bit with OpenBLAS, and
-    doubling is exact, so each set's argmin is the one a lone run takes;
-    tests/test_segmentation.py checks that against the sequential runs.
+    sq holds the squared norms of pts. One product covers all the sets. Each
+    row is that center's row of (pts @ c.T).T for its set alone, bit for bit
+    with OpenBLAS, and doubling is exact, so each set's nearest center is the
+    one a lone run takes; tests/test_segmentation.py checks that against the
+    sequential runs.
     """
-    stacked = np.concatenate(centers)
-    # d2 = sq - 2 G + |c|^2, left to right, in the buffer of the product
-    d2 = (stacked @ pts.T).T
-    np.multiply(d2, 2.0, out=d2)
-    np.subtract(sq[:, None], d2, out=d2)
-    d2 += np.sum(stacked * stacked, axis=1)[None, :]
     k = centers[0].shape[0]
-    best = np.argmin(d2.reshape(pts.shape[0], len(centers), k), axis=2)
-    return list(best.T)
+    # center-major rows: row c * len(centers) + r is center c of set r, so
+    # that each center's distances to all sets are one contiguous block
+    stacked = np.stack(centers, axis=1).reshape(-1, pts.shape[1])
+    # d2 = sq - 2 G + |c|^2, left to right, in the buffer of the product
+    d2 = stacked @ pts.T
+    np.multiply(d2, 2.0, out=d2)
+    np.subtract(sq[None, :], d2, out=d2)
+    d2 += np.sum(stacked * stacked, axis=1)[:, None]
+    d2 = d2.reshape(k, len(centers), pts.shape[0])
+    # running minimum over the centers; strict < keeps the first on ties,
+    # as argmin does
+    best = np.zeros(d2.shape[1:], dtype=np.intp)
+    low = d2[0].copy()
+    closer = np.empty(low.shape, dtype=bool)
+    for c in range(1, k):
+        np.less(d2[c], low, out=closer)
+        np.copyto(best, c, where=closer)
+        np.minimum(low, d2[c], out=low)
+    return list(best)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from rgwot.errors import ConfigError, DegenerateData, EmptyVideo
 from rgwot.priors import background_mask
 from rgwot.segmentation import (
     GraphCutProblem,
+    _lloyd_means,
     alpha_expansion,
     init_centers,
     keystep_order,
@@ -25,10 +26,13 @@ def sse(points, centers):
     return float(d2.min(axis=1).sum())
 
 
-def reference_init_centers(points, k, rng, lloyd_iters=100, restarts=10, revived=None):
+def reference_init_centers(points, k, rng, lloyd_iters=100, restarts=10, events=None):
     """The sequential k-means restarts that init_centers runs in lockstep.
 
-    revived, when given, collects the index of every revived empty cluster.
+    events, when given, collects ("revived", round, cluster) for every
+    revived empty cluster and ("kept", round, cluster) for every non-empty
+    cluster whose members are those of the round before, so that its mean is
+    the one already taken. Rounds count from 0.
     """
     pts = np.asarray(points, dtype=np.float64)
     if np.unique(pts, axis=0).shape[0] < k:
@@ -36,7 +40,7 @@ def reference_init_centers(points, k, rng, lloyd_iters=100, restarts=10, revived
     best_centers = None
     best_sse = np.inf
     for _ in range(max(1, restarts)):
-        centers = reference_one_kmeans_run(pts, k, rng, lloyd_iters, revived)
+        centers = reference_one_kmeans_run(pts, k, rng, lloyd_iters, events)
         assign = reference_nearest(pts, centers)
         sse = float(np.sum((pts - centers[assign]) ** 2))
         if sse < best_sse:
@@ -44,7 +48,7 @@ def reference_init_centers(points, k, rng, lloyd_iters=100, restarts=10, revived
     return best_centers
 
 
-def reference_one_kmeans_run(pts, k, rng, lloyd_iters, revived):
+def reference_one_kmeans_run(pts, k, rng, lloyd_iters, events):
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
@@ -57,23 +61,36 @@ def reference_one_kmeans_run(pts, k, rng, lloyd_iters, revived):
             centers[c] = pts[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((pts - centers[c]) ** 2, axis=1))
     assign = reference_nearest(pts, centers)
-    for _ in range(lloyd_iters):
-        new_centers = centers.copy()
-        for c in range(k):
-            members = pts[assign == c]
-            if members.shape[0]:
-                new_centers[c] = members.mean(axis=0)
-            else:
-                if revived is not None:
-                    revived.append(c)
-                worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
-                new_centers[c] = pts[worst]
+    averaged = None
+    for t in range(lloyd_iters):
+        if events is not None:
+            for c in range(k):
+                if averaged is not None and np.any(assign == c) \
+                        and np.array_equal(assign == c, averaged == c):
+                    events.append(("kept", t, c))
+                if not np.any(assign == c):
+                    events.append(("revived", t, c))
+        new_centers = reference_lloyd_means(pts, centers, assign)
         new_assign = reference_nearest(pts, new_centers)
         moved = not np.array_equal(new_assign, assign)
-        centers, assign = new_centers, new_assign
+        centers, assign, averaged = new_centers, new_assign, assign
         if not moved:
             break
     return centers
+
+
+def reference_lloyd_means(pts, centers, assign):
+    """Every cluster's mean in cluster order; an empty one is revived at the
+    point that fits worst, read against the centers updated so far."""
+    new_centers = centers.copy()
+    for c in range(centers.shape[0]):
+        members = pts[assign == c]
+        if members.shape[0]:
+            new_centers[c] = members.mean(axis=0)
+        else:
+            worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
+            new_centers[c] = pts[worst]
+    return new_centers
 
 
 def reference_nearest(pts, centers):
@@ -84,7 +101,9 @@ def reference_nearest(pts, centers):
 
 def repeated_point_pools():
     """Pools drawn with replacement from a few distinct points, so they hold
-    exact duplicates, plus one jittered pool at the feature width of segment."""
+    exact duplicates, plus one jittered pool at the feature width of segment
+    and two of small integers, on which points are often equally far from
+    two centers."""
     pools = []
     for seed, (n, m, d) in enumerate([(9, 6, 1), (14, 7, 2), (40, 10, 3), (60, 25, 5)]):
         g = np.random.default_rng(seed)
@@ -94,6 +113,9 @@ def repeated_point_pools():
     blobs = 3.0 * g.normal(size=(6, 128))
     pool = blobs[g.integers(6, size=300)] + g.normal(size=(300, 128))
     pools.append(np.concatenate([pool, pool[:40]]))
+    g = np.random.default_rng(7)
+    pools += [g.integers(0, 6, size=(20, 1)).astype(np.float64),
+              g.integers(0, 6, size=(30, 2)).astype(np.float64)]
     return pools
 
 
@@ -180,6 +202,11 @@ class TestInitCenters:
         with pytest.raises(DegenerateData, match="need at least 3 distinct points, got 2"):
             init_centers(pts, 3, rng)
 
+    def test_distinct_points_sharing_a_coordinate(self, rng):
+        pts = np.repeat(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]), 4, axis=0)
+        centers = init_centers(pts, 3, rng)
+        assert sse(pts, centers) == 0.0
+
     def test_within_5_percent_of_best_of_fifty(self, rng):
         means = rng.normal(size=(4, 2)) * 8.0
         pts = np.concatenate(
@@ -206,28 +233,53 @@ class TestInitCenters:
 
     @pytest.mark.parametrize("restarts", [1, 3, 10])
     def test_same_centers_and_rng_state_as_sequential_runs(self, restarts):
+        events = []
         for i, pts in enumerate(repeated_point_pools()):
             for k in range(1, 7):
                 if np.unique(pts, axis=0).shape[0] < k:
                     continue
                 want_rng = np.random.default_rng(1000 + 10 * i + k)
                 got_rng = np.random.default_rng(1000 + 10 * i + k)
-                want = reference_init_centers(pts, k, want_rng, restarts=restarts)
+                want = reference_init_centers(pts, k, want_rng, restarts=restarts,
+                                              events=events)
                 got = init_centers(pts, k, got_rng, restarts=restarts)
                 assert np.array_equal(got, want), (i, k)
+                assert got.tobytes() == want.tobytes(), (i, k)  # also tells -0.0 from 0.0
                 assert got_rng.random() == want_rng.random(), (i, k)
+        # the pools reach rounds that keep some clusters' members
+        assert any(e[0] == "kept" for e in events)
 
     @pytest.mark.parametrize("restarts", [1, 3, 10])
     def test_same_centers_through_empty_cluster_revival(self, restarts):
-        revived = []
+        events = []
         want_rng = np.random.default_rng(0)
         want = reference_init_centers(REVIVAL_POOL, 4, want_rng, restarts=restarts,
-                                      revived=revived)
-        assert revived  # the pool reaches the revival branch
+                                      events=events)
+        # the pool reaches the revival branch after the first round
+        assert any(e[0] == "revived" and e[1] >= 1 for e in events)
         got_rng = np.random.default_rng(0)
         got = init_centers(REVIVAL_POOL, 4, got_rng, restarts=restarts)
         assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
+
+    def test_means_of_changed_clusters_match_a_full_recompute(self):
+        # centers are the means of an earlier assignment, with its empty
+        # clusters revived; the new assignment moves a few points and
+        # sometimes leaves a revived cluster empty again
+        g = np.random.default_rng(5)
+        for trial in range(300):
+            n, k = int(g.integers(4, 30)), int(g.integers(2, 7))
+            pts = g.integers(0, 4, size=(n, 2)).astype(np.float64)
+            averaged = g.integers(k, size=n)
+            averaged[averaged == trial % k] = (trial + 1) % k  # one empty cluster
+            centers = reference_lloyd_means(pts, pts[g.integers(n, size=k)], averaged)
+            assign = averaged.copy()
+            movers = g.integers(n, size=int(g.integers(1, 4)))
+            assign[movers] = g.integers(k, size=movers.size)
+            got = _lloyd_means(pts, centers, assign, averaged)
+            want = reference_lloyd_means(pts, centers, assign)
+            assert got.tobytes() == want.tobytes(), trial
 
 
 class TestLabelingEnergy:
