@@ -23,7 +23,9 @@ from .data_model import Hyperparams, load_labels, load_manifest, load_task, save
 from .encoder import load_encoder, save_encoder
 from .errors import RgwotError
 from .evaluation import evaluate, write_metrics_csv
+from .priors import build_cost_bundle
 from .segmentation import segment_task
+from .solver import solve_fgwot
 from .synth import profiles, write_task
 from .training import hyper_header, train, write_loss_csv
 from .viz import (
@@ -178,9 +180,6 @@ def _print_inner_solves(solves) -> None:
 
 
 def cmd_align(args) -> int:
-    from .priors import build_cost_bundle
-    from .solver import solve_fgwot
-
     manifest = load_manifest(args.manifest)
     hyper = _hyper_from_args(args, manifest)
     features, _ = load_task(manifest)

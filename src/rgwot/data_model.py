@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -284,14 +284,15 @@ class Hyperparams:
     Defaults follow the reference configuration; epochs defaults to a value
     sized for the bundled synthetic tasks rather than full-length video
     corpora. sigma counts frames (same units as the frame indices handed to
-    the temporal regularizer).
+    the temporal regularizer). Fixed values are constants beside their one
+    user: the solver's stopping rule (solver._MAX_OUTER, _SINKHORN_ITERS,
+    _TOL, _INNER_TOL) and Adam's weight decay (training._WEIGHT_DECAY).
     """
 
     k: int = 7
     sampled_frames: int = 32
     epochs: int = 300
     learning_rate: float = 1e-4
-    weight_decay: float = 1e-5
     sigma: float = 300.0
     lam: float = 2.0
     embed_dim: int = 128
@@ -304,9 +305,6 @@ class Hyperparams:
     rho: float = 0.35
     tau: float = 0.1
     use_virtual: bool = True
-    solver_max_outer: int = 25
-    solver_sinkhorn_iters: int = 200
-    solver_tol: float = 1e-6
 
     def __post_init__(self):
         checks = [
@@ -314,7 +312,6 @@ class Hyperparams:
             (self.sampled_frames >= 2, "sampled_frames must be >= 2"),
             (self.epochs >= 0, "epochs must be >= 0"),
             (self.learning_rate > 0, "learning_rate must be positive"),
-            (self.weight_decay >= 0, "weight_decay must be >= 0"),
             (self.sigma >= 0, "sigma must be >= 0"),
             (self.lam >= 0, "lam must be >= 0"),
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
@@ -326,9 +323,6 @@ class Hyperparams:
             (0.0 < self.r <= 1.0, "r must lie in (0, 1]"),
             (self.rho >= 0, "rho must be >= 0"),
             (self.tau > 0, "tau must be positive"),
-            (self.solver_max_outer >= 1, "solver_max_outer must be >= 1"),
-            (self.solver_sinkhorn_iters >= 1, "solver_sinkhorn_iters must be >= 1"),
-            (self.solver_tol > 0, "solver_tol must be positive"),
         ]
         for ok, msg in checks:
             if not ok:

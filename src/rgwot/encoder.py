@@ -14,10 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import FrameEmbeddings, FrameFeatures, read_rgwf, write_rgwf
+from .data_model import FrameEmbeddings, FrameFeatures, Hyperparams, read_rgwf, write_rgwf
 from .errors import DimMismatch, MalformedHeader
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+# Adam's moment decay rates and the epsilon of its denominator
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 class Encoder:
@@ -29,7 +33,7 @@ class Encoder:
         self.seed = seed
 
     @classmethod
-    def create(cls, feature_dim: int, embed_dim: int = 128, hidden_dim: int = 256,
+    def create(cls, feature_dim: int, embed_dim: int, hidden_dim: int,
                seed: int = 0) -> "Encoder":
         rng = np.random.default_rng(seed)
         w1 = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(feature_dim, hidden_dim))
@@ -98,8 +102,7 @@ class AdamState:
 
 
 def adam_update(enc: Encoder, state: AdamState, grads: dict[str, np.ndarray],
-                lr: float, weight_decay: float,
-                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+                lr: float, weight_decay: float) -> None:
     """In-place Adam step; weight decay is added to the gradient (L2 style).
 
     The parameters and both moment buffers are updated in place, with the
@@ -112,21 +115,21 @@ def adam_update(enc: Encoder, state: AdamState, grads: dict[str, np.ndarray],
         m, v = state.m[name], state.v[name]
         g = weight_decay * theta
         g += grads[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
         g *= g
-        v *= beta2
-        v += (1.0 - beta2) * g
-        step = m / (1.0 - beta1 ** t)
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g
+        step = m / (1.0 - _BETA1 ** t)
         step *= lr
-        denom = v / (1.0 - beta2 ** t)
+        denom = v / (1.0 - _BETA2 ** t)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += _EPS
         step /= denom
         theta -= step
 
 
-def save_encoder(enc: Encoder, path, hyper=None) -> None:
+def save_encoder(enc: Encoder, path, hyper: Hyperparams) -> None:
     """Checkpoint: flattened float32 parameter vector + JSON sidecar."""
     flat = np.concatenate([enc.params()[name].ravel() for name in PARAM_NAMES])
     write_rgwf(path, flat[None, :])
@@ -135,11 +138,8 @@ def save_encoder(enc: Encoder, path, hyper=None) -> None:
         "hidden_dim": enc.hidden_dim,
         "embed_dim": enc.embed_dim,
         "seed": enc.seed,
+        "hyperparams": vars(hyper),
     }
-    if hyper is not None:
-        sidecar["hyperparams"] = {
-            k: v for k, v in vars(hyper).items() if isinstance(v, (int, float, bool))
-        }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 

@@ -190,11 +190,10 @@ def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence]
 
 
 def write_metrics_csv(report: MetricsReport, path, task_name: str,
-                      header_comment: str | None = None) -> None:
-    """One row per key step plus a macro row."""
+                      header_comment: str) -> None:
+    """A comment line, then one row per key step plus a macro row."""
     with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+        fh.write(f"# {header_comment}\n")
         fh.write("task,keystep,precision,recall,f1,iou\n")
         for step, m in sorted(report.per_step.items()):
             fh.write(f"{task_name},{step},{m.precision:.6f},{m.recall:.6f},"

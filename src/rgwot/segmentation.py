@@ -26,14 +26,14 @@ from .priors import background_mask, build_cost_bundle
 from .solver import solve_fgwot
 
 
-# cap on Lloyd rounds per k-means run; a run stops earlier once its
-# assignment repeats
+# k-means runs per init_centers call, and the cap on Lloyd rounds per run;
+# a run stops earlier once its assignment repeats
+_RESTARTS = 10
 _LLOYD_ITERS = 100
 
 
-def init_centers(points: np.ndarray, k: int, rng: np.random.Generator,
-                 restarts: int = 10) -> np.ndarray:
-    """Best of `restarts` k-means runs (k-means++ seeding, Lloyd refinement).
+def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Best of _RESTARTS k-means runs (k-means++ seeding, Lloyd refinement).
 
     Restarts matter here: a lone run can park a center on diffuse outlier
     mass and merge two real clusters, which a better-SSE run avoids.
@@ -54,7 +54,7 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator,
         if distinct < k:
             raise DegenerateData(f"need at least {k} distinct points, got {distinct}")
     buf = np.empty_like(pts)
-    centers = [_kmeans_pp(pts, k, rng, buf) for _ in range(max(1, restarts))]
+    centers = [_kmeans_pp(pts, k, rng, buf) for _ in range(_RESTARTS)]
     sq = np.sum(pts * pts, axis=1)
     assign = _nearest(pts, sq, centers)
     # the assignment each run's centers were averaged from; None while they

@@ -19,6 +19,15 @@ from . import kernels
 from .errors import NumericalOverflow, ShapeMismatch
 from .priors import CostBundle
 
+# stopping rule of solve_fgwot: at most _MAX_OUTER linearizations, stopping
+# once the L1 change of T is at most _TOL; each inner Sinkhorn solve runs at
+# most _SINKHORN_ITERS sweeps to a column violation of _INNER_TOL, which keeps
+# the inner marginal error well under the outer movement tolerance
+_MAX_OUTER = 25
+_SINKHORN_ITERS = 200
+_TOL = 1e-6
+_INNER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -77,7 +86,8 @@ def _sinkhorn_core(G, p, q, epsilon, max_iters, tol, f0=None, g0=None):
     return t, f, g, iters, float(violation)
 
 
-def sinkhorn(G, p, q, epsilon, max_iters: int = 200, tol: float = 1e-9) -> Coupling:
+def sinkhorn(G, p, q, epsilon, max_iters: int = _SINKHORN_ITERS,
+             tol: float = _INNER_TOL) -> Coupling:
     """Entropic OT between histograms p and q for cost G.
 
     Returns the plan with converged=False (and inner_capped=1) when max_iters
@@ -153,7 +163,7 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
 
     T starts at the product coupling p q^T. Each iteration re-linearizes the
     structural term and re-solves the entropic linear problem with warm
-    potentials; convergence is an L1 change of T at most hyper.solver_tol.
+    potentials; convergence is an L1 change of T at most _TOL.
     When the structural term is zero at every T, the first plan is the fixed
     point: the solve is one Sinkhorn solve of (1 - alpha) * C_tilde, reported
     with final_delta 0 and converged as that inner solve converged.
@@ -164,7 +174,6 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     alpha = hyper.alpha
     eps = hyper.epsilon
     p, q = bundle.p, bundle.q
-    inner_tol = _inner_tol(hyper)
     t = np.outer(p, q)
     f = g = None
     trace = []
@@ -174,12 +183,12 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     capped = 0
     worst = 0.0
     product = _gw_pad(bundle, t)
-    for it in range(1, hyper.solver_max_outer + 1):
+    for it in range(1, _MAX_OUTER + 1):
         grad = (1.0 - alpha) * bundle.C_tilde + 2.0 * alpha * product
         t_new, f, g, _, violation = _sinkhorn_core(
-            grad, p, q, eps, hyper.solver_sinkhorn_iters, inner_tol, f, g
+            grad, p, q, eps, _SINKHORN_ITERS, _INNER_TOL, f, g
         )
-        capped += violation > inner_tol
+        capped += violation > _INNER_TOL
         worst = max(worst, violation)
         # the objective of t_new and the next linearization share its product
         product = _gw_pad(bundle, t_new)
@@ -188,11 +197,11 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
         # alpha * C_x T C_y is zero at every T when alpha is 0 or the C_x band
         # is empty, so the linearized cost never changes and t_new is the fixed point
         if alpha == 0.0 or bundle.band_x.radius == 0:
-            t, delta, converged = t_new, 0.0, violation <= inner_tol
+            t, delta, converged = t_new, 0.0, violation <= _INNER_TOL
             break
         delta = float(np.abs(t_new - t).sum())
         t = t_new
-        if delta <= hyper.solver_tol:
+        if delta <= _TOL:
             converged = True
             break
     return Coupling(
@@ -205,8 +214,3 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
         inner_capped=capped,
         inner_violation=worst,
     )
-
-
-def _inner_tol(hyper) -> float:
-    # keep the inner marginal error well under the outer movement tolerance
-    return min(1e-9, hyper.solver_tol * 1e-3)

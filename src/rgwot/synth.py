@@ -11,6 +11,7 @@ step. Everything is a pure function of the task seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -188,10 +189,8 @@ def planted_order(labels: LabelSequence) -> list[int]:
     return order
 
 
-def write_task(task: SynthTask, out_dir) -> "Path":
+def write_task(task: SynthTask, out_dir) -> Path:
     """Write features, labels and manifest under out_dir; returns manifest path."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     features, labels, manifest = generate(task)

@@ -19,6 +19,9 @@ from .losses import LossReport, total_loss
 from .priors import background_mask, build_cost_bundle
 from .solver import Coupling, solve_fgwot
 
+# L2 weight decay of every Adam step
+_WEIGHT_DECAY = 1e-5
+
 
 def sample_frames(n_total: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted uniform sample of frame indices without replacement."""
@@ -65,7 +68,7 @@ def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
     report = total_loss(ex, ey, coupling.real, masks, hyper,
                         idx_x.astype(np.float64), idx_y.astype(np.float64))
     grads = _param_grads(encoder, clip_x, hx, clip_y, hy, report)
-    adam_update(encoder, adam, grads, hyper.learning_rate, hyper.weight_decay)
+    adam_update(encoder, adam, grads, hyper.learning_rate, _WEIGHT_DECAY)
     return report, coupling
 
 
@@ -94,16 +97,14 @@ def train(videos: list[FrameFeatures], hyper: Hyperparams, rng: np.random.Genera
     return encoder, history
 
 
-def write_loss_csv(history: list[LossReport], path, hyper: Hyperparams | None = None) -> None:
+def write_loss_csv(history: list[LossReport], path, hyper: Hyperparams) -> None:
     with open(path, "w") as fh:
-        if hyper is not None:
-            fh.write(f"# {hyper_header(hyper)}\n")
+        fh.write(f"# {hyper_header(hyper)}\n")
         fh.write("step,align,reg_x,reg_y,total\n")
         for i, rep in enumerate(history):
             fh.write(f"{i},{rep.align:.10g},{rep.reg_x:.10g},{rep.reg_y:.10g},{rep.total:.10g}\n")
 
 
 def hyper_header(hyper: Hyperparams) -> str:
-    items = [f"{k}={v}" for k, v in sorted(vars(hyper).items())
-             if isinstance(v, (int, float, bool))]
+    items = [f"{k}={v}" for k, v in sorted(vars(hyper).items())]
     return "hyperparams: " + " ".join(items)

@@ -24,6 +24,11 @@ def step_palette(k: int) -> list[str]:
 
 
 BACKGROUND_COLOR = "#bbbbbb"
+# pixel side of one coupling cell in alignment_svg
+_CELL = 6
+# pixel height of one band and width of every band in segmentation_svg
+_ROW_HEIGHT = 22
+_WIDTH = 720
 
 
 def write_coupling_csv(T: np.ndarray, path) -> None:
@@ -37,15 +42,15 @@ def write_trace_csv(trace, path) -> None:
             fh.write(f"{i},{v:.17g}\n")
 
 
-def alignment_svg(T: np.ndarray, path, cell: int = 6) -> None:
+def alignment_svg(T: np.ndarray, path) -> None:
     """Heat band of a coupling; darker cells carry more mass."""
     n, m = T.shape
     top = float(T.max()) if T.size else 1.0
     top = top if top > 0 else 1.0
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{m * cell}" height="{n * cell}">',
-        f'<rect width="{m * cell}" height="{n * cell}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{m * _CELL}" height="{n * _CELL}">',
+        f'<rect width="{m * _CELL}" height="{n * _CELL}" fill="#ffffff"/>',
     ]
     for i in range(n):
         for j in range(m):
@@ -54,25 +59,24 @@ def alignment_svg(T: np.ndarray, path, cell: int = 6) -> None:
                 continue  # skip near-white cells, keeps files small
             color = f"#{shade:02x}{shade:02x}ff"
             lines.append(
-                f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" height="{cell}" '
+                f'<rect x="{j * _CELL}" y="{i * _CELL}" width="{_CELL}" height="{_CELL}" '
                 f'fill="{color}"/>'
             )
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path,
-                     row_height: int = 22, width: int = 720) -> None:
+def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path) -> None:
     """One colored band per (name, labels) row; BACKGROUND renders grey."""
     palette = step_palette(k)
-    height = row_height * len(rows)
+    height = _ROW_HEIGHT * len(rows)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}">',
     ]
     for r, (name, labels) in enumerate(rows):
         n = len(labels)
-        y = r * row_height
+        y = r * _ROW_HEIGHT
         lines.append(f"<!-- {name} -->")
         start = 0
         for i in range(1, n + 1):
@@ -80,11 +84,11 @@ def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path,
                 continue
             label = int(labels[start])
             color = BACKGROUND_COLOR if label == BACKGROUND else palette[label % k]
-            x0 = start * width / n
-            x1 = i * width / n
+            x0 = start * _WIDTH / n
+            x1 = i * _WIDTH / n
             lines.append(
                 f'<rect x="{x0:.2f}" y="{y}" width="{x1 - x0:.2f}" '
-                f'height="{row_height - 2}" fill="{color}"/>'
+                f'height="{_ROW_HEIGHT - 2}" fill="{color}"/>'
             )
             start = i
     lines.append("</svg>")

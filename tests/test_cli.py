@@ -1,16 +1,20 @@
 """End-to-end command line tests, run in-process through main()."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rgwot import segmentation, training
-from rgwot.cli import main
+from rgwot.cli import _HYPER_FLAGS, main
 from rgwot.data_model import Hyperparams, load_labels, load_manifest
 from rgwot.encoder import load_encoder
 from rgwot.solver import solve_fgwot
 from rgwot.synth import make_task, write_task
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -427,3 +431,27 @@ class TestParser:
         rc = main(["train", "--out", "/tmp/x"])
         capsys.readouterr()
         assert rc == 2
+
+
+class TestHyperparamsSurface:
+    def test_every_field_but_the_encoder_widths_has_a_flag(self):
+        # criterion 4 sets embed_dim and hidden_dim through the API, to check
+        # gradients on a small encoder; any other field that no flag sets is
+        # a setting no command can turn, and belongs beside its one user
+        names = {f.name for f in fields(Hyperparams)}
+        dests = {spec["dest"] for spec in _HYPER_FLAGS.values()}
+        assert names == dests | {"embed_dim", "hidden_dim"}
+
+    def test_readme_table_lists_every_field_with_its_default(self):
+        text = README.read_text()
+        section = text.split("\n## Hyperparameters\n", 1)[1].split("\n## ", 1)[0]
+        rows = dict(line.split("|")[1:3] for line in section.splitlines()
+                    if line.startswith("| `"))
+        table = {name.strip().strip("`"): default.strip() for name, default in rows.items()}
+        assert set(table) == {f.name for f in fields(Hyperparams)}
+        for f in fields(Hyperparams):
+            default = table[f.name]
+            if isinstance(f.default, bool):
+                assert default == str(f.default), f.name
+            else:
+                assert float(default) == f.default, f.name

@@ -252,18 +252,17 @@ class TestHyperparams:
     def test_defaults(self):
         h = Hyperparams()
         assert h.k == 7 and h.sampled_frames == 32
-        assert h.learning_rate == 1e-4 and h.weight_decay == 1e-5
+        assert h.learning_rate == 1e-4
         assert h.sigma == 300.0 and h.lam == 2.0
         assert h.embed_dim == 128 and h.hidden_dim == 256
         assert h.xi == 1.0 and h.epsilon == 0.07 and h.zeta == 0.5
         assert h.alpha == 0.3 and h.r == 0.02 and h.rho == 0.35 and h.tau == 0.1
-        assert h.solver_max_outer == 25 and h.solver_tol == 1e-6
 
     @pytest.mark.parametrize("bad", [
         {"alpha": 1.5}, {"alpha": -0.1}, {"r": 0.0}, {"r": 1.2}, {"epsilon": 0.0},
         {"zeta": -0.2}, {"zeta": 1.5}, {"rho": -1.0}, {"tau": 0.0}, {"epochs": -1},
-        {"k": 0}, {"sampled_frames": 1}, {"learning_rate": 0.0}, {"solver_max_outer": 0},
-        {"solver_tol": 0.0}, {"lam": -1.0}, {"sigma": -1.0},
+        {"k": 0}, {"sampled_frames": 1}, {"learning_rate": 0.0}, {"xi": -1.0},
+        {"hidden_dim": 0}, {"lam": -1.0}, {"sigma": -1.0},
     ])
     def test_invalid_values(self, bad):
         with pytest.raises(ConfigError):

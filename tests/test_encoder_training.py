@@ -16,6 +16,8 @@ from rgwot.errors import DimMismatch, InsufficientFrames, MalformedHeader, ZeroN
 from rgwot.priors import background_mask, build_cost_bundle, visual_cost
 from rgwot.solver import solve_fgwot
 from rgwot.training import (
+    _WEIGHT_DECAY,
+    hyper_header,
     loss_and_param_grads,
     sample_frames,
     train,
@@ -174,7 +176,7 @@ class TestAdam:
 class TestCheckpoint:
     def test_round_trip_is_float32_exact(self, tmp_path):
         enc = Encoder.create(5, embed_dim=3, hidden_dim=7, seed=3)
-        save_encoder(enc, tmp_path / "enc.rgwf")
+        save_encoder(enc, tmp_path / "enc.rgwf", Hyperparams())
         back = load_encoder(tmp_path / "enc.rgwf")
         for name, p in enc.params().items():
             want = p.astype(np.float32).astype(np.float64)
@@ -183,21 +185,23 @@ class TestCheckpoint:
 
     def test_sidecar_records_hyperparams(self, tmp_path):
         enc = Encoder.create(5, embed_dim=3, hidden_dim=7)
-        save_encoder(enc, tmp_path / "enc.rgwf", Hyperparams(alpha=0.4))
+        hyper = Hyperparams(alpha=0.4)
+        save_encoder(enc, tmp_path / "enc.rgwf", hyper)
         meta = json.loads((tmp_path / "enc.rgwf.json").read_text())
         assert meta["hyperparams"]["alpha"] == 0.4
+        assert meta["hyperparams"] == vars(hyper)  # every field, nothing else
         assert meta["embed_dim"] == 3
 
     def test_missing_sidecar(self, tmp_path):
         enc = Encoder.create(5, embed_dim=3, hidden_dim=7)
-        save_encoder(enc, tmp_path / "enc.rgwf")
+        save_encoder(enc, tmp_path / "enc.rgwf", Hyperparams())
         (tmp_path / "enc.rgwf.json").unlink()
         with pytest.raises(MalformedHeader):
             load_encoder(tmp_path / "enc.rgwf")
 
     def test_size_mismatch_with_sidecar(self, tmp_path):
         enc = Encoder.create(5, embed_dim=3, hidden_dim=7)
-        save_encoder(enc, tmp_path / "enc.rgwf")
+        save_encoder(enc, tmp_path / "enc.rgwf", Hyperparams())
         meta = json.loads((tmp_path / "enc.rgwf.json").read_text())
         meta["hidden_dim"] += 1
         (tmp_path / "enc.rgwf.json").write_text(json.dumps(meta))
@@ -276,8 +280,7 @@ class TestTrainingLoop:
                 idx_x.astype(np.float64), idx_y.astype(np.float64),
             )
             totals.append(report.total)
-            adam_update(enc, adam, grads, desk_hyper.learning_rate,
-                        desk_hyper.weight_decay)
+            adam_update(enc, adam, grads, desk_hyper.learning_rate, _WEIGHT_DECAY)
         assert totals[-1] < totals[0]
 
     def test_end_to_end_gradients_match_finite_differences(self, rng, desk_hyper):
@@ -368,8 +371,12 @@ class TestTrainingLoop:
     def test_loss_csv_rows_recompose(self, rng, desk_hyper, tmp_path):
         videos = toy_videos(rng)
         _, history = train(videos, desk_hyper, rng)
-        write_loss_csv(history, tmp_path / "curve.csv")
-        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        write_loss_csv(history, tmp_path / "curve.csv", desk_hyper)
+        lines = (tmp_path / "curve.csv").read_text().splitlines()
+        assert lines[0] == f"# {hyper_header(desk_hyper)}"
+        assert lines[1] == "step,align,reg_x,reg_y,total"
+        rows = lines[2:]
+        assert len(rows) == len(history)
         for row, rep in zip(rows, history):
             _, align, reg_x, reg_y, total = map(float, row.split(","))
             assert total == pytest.approx(align + desk_hyper.xi * (reg_x + reg_y),

@@ -256,10 +256,10 @@ class TestMetricsCsv:
 
     def test_rows_and_macro(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(self._report(), path, "toy")
+        write_metrics_csv(self._report(), path, "toy", "run 5")
         lines = path.read_text().splitlines()
-        assert lines[0] == "task,keystep,precision,recall,f1,iou"
-        assert len(lines) == 4  # header + step rows + macro
+        assert lines[1] == "task,keystep,precision,recall,f1,iou"
+        assert len(lines) == 5  # comment + header + step rows + macro
         assert lines[-1].startswith("toy,macro,")
         macro_f1 = float(lines[-1].split(",")[4])
         assert macro_f1 == pytest.approx(11.0 / 15.0, abs=1e-6)
@@ -272,8 +272,8 @@ class TestMetricsCsv:
     def test_step_rows_parse_back(self, tmp_path):
         path = tmp_path / "metrics.csv"
         report = self._report()
-        write_metrics_csv(report, path, "toy")
-        for line in path.read_text().splitlines()[1:-1]:
+        write_metrics_csv(report, path, "toy", "run 5")
+        for line in path.read_text().splitlines()[2:-1]:
             task, step, prec, rec, f1, iou = line.split(",")
             assert task == "toy"
             m = report.per_step[int(step)]

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rgwot import segmentation
 from rgwot.data_model import BACKGROUND, FrameFeatures, Hyperparams
 from rgwot.encoder import Encoder
 from rgwot.errors import ConfigError, DegenerateData, EmptyVideo
@@ -207,22 +208,26 @@ class TestInitCenters:
         centers = init_centers(pts, 3, rng)
         assert sse(pts, centers) == 0.0
 
-    def test_within_5_percent_of_best_of_fifty(self, rng):
+    def test_within_5_percent_of_best_of_fifty(self, rng, monkeypatch):
         means = rng.normal(size=(4, 2)) * 8.0
         pts = np.concatenate(
             [m + rng.normal(size=(50, 2)) for m in means], axis=0
         )
-        best = min(
-            sse(pts, init_centers(pts, 4, np.random.default_rng(100 + i), restarts=1))
-            for i in range(50)
-        )
+        with monkeypatch.context() as m:
+            m.setattr(segmentation, "_RESTARTS", 1)
+            best = min(
+                sse(pts, init_centers(pts, 4, np.random.default_rng(100 + i)))
+                for i in range(50)
+            )
         got = sse(pts, init_centers(pts, 4, np.random.default_rng(0)))
         assert got <= 1.05 * best
 
-    def test_restarts_never_hurt(self, rng):
+    def test_restarts_never_hurt(self, rng, monkeypatch):
         pts = rng.normal(size=(80, 3))
-        single = sse(pts, init_centers(pts, 5, np.random.default_rng(7), restarts=1))
-        multi = sse(pts, init_centers(pts, 5, np.random.default_rng(7), restarts=10))
+        with monkeypatch.context() as m:
+            m.setattr(segmentation, "_RESTARTS", 1)
+            single = sse(pts, init_centers(pts, 5, np.random.default_rng(7)))
+        multi = sse(pts, init_centers(pts, 5, np.random.default_rng(7)))
         assert multi <= single + 1e-9
 
     def test_deterministic_given_seed(self, rng):
@@ -232,7 +237,8 @@ class TestInitCenters:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("restarts", [1, 3, 10])
-    def test_same_centers_and_rng_state_as_sequential_runs(self, restarts):
+    def test_same_centers_and_rng_state_as_sequential_runs(self, restarts, monkeypatch):
+        monkeypatch.setattr(segmentation, "_RESTARTS", restarts)
         events = []
         for i, pts in enumerate(repeated_point_pools()):
             for k in range(1, 7):
@@ -242,7 +248,7 @@ class TestInitCenters:
                 got_rng = np.random.default_rng(1000 + 10 * i + k)
                 want = reference_init_centers(pts, k, want_rng, restarts=restarts,
                                               events=events)
-                got = init_centers(pts, k, got_rng, restarts=restarts)
+                got = init_centers(pts, k, got_rng)
                 assert np.array_equal(got, want), (i, k)
                 assert got.tobytes() == want.tobytes(), (i, k)  # also tells -0.0 from 0.0
                 assert got_rng.random() == want_rng.random(), (i, k)
@@ -250,7 +256,8 @@ class TestInitCenters:
         assert any(e[0] == "kept" for e in events)
 
     @pytest.mark.parametrize("restarts", [1, 3, 10])
-    def test_same_centers_through_empty_cluster_revival(self, restarts):
+    def test_same_centers_through_empty_cluster_revival(self, restarts, monkeypatch):
+        monkeypatch.setattr(segmentation, "_RESTARTS", restarts)
         events = []
         want_rng = np.random.default_rng(0)
         want = reference_init_centers(REVIVAL_POOL, 4, want_rng, restarts=restarts,
@@ -258,7 +265,7 @@ class TestInitCenters:
         # the pool reaches the revival branch after the first round
         assert any(e[0] == "revived" and e[1] >= 1 for e in events)
         got_rng = np.random.default_rng(0)
-        got = init_centers(REVIVAL_POOL, 4, got_rng, restarts=restarts)
+        got = init_centers(REVIVAL_POOL, 4, got_rng)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rgwot import kernels
+from rgwot import kernels, solver
 from rgwot.data_model import Hyperparams
 from rgwot.errors import NumericalOverflow, ShapeMismatch
 from rgwot.priors import build_cost_bundle, structural_priors
@@ -385,9 +385,8 @@ class TestSolveFgwot:
         bundle, hyper = _bundle(rng, n=n, m=n, virtual=True, r=r)
         hyper = replace(hyper, alpha=alpha)
         assert (bundle.band_x.radius == 0) == (alpha > 0)
-        inner_tol = min(1e-9, hyper.solver_tol * 1e-3)
         want = sinkhorn((1 - alpha) * bundle.C_tilde, bundle.p, bundle.q, hyper.epsilon,
-                        hyper.solver_sinkhorn_iters, inner_tol)
+                        solver._SINKHORN_ITERS, solver._INNER_TOL)
         calls = _count_calls(monkeypatch, "sinkhorn_log")
         got = solve_fgwot(bundle, hyper)
         assert len(calls) == 1
@@ -397,7 +396,8 @@ class TestSolveFgwot:
         assert got.objective_trace == (fgwot_objective(bundle, got.T, alpha, hyper.epsilon).total,)
         assert (got.converged, got.inner_capped) == (want.converged, want.inner_capped) == (True, 0)
         assert got.virtual
-        capped = solve_fgwot(bundle, replace(hyper, solver_sinkhorn_iters=1))
+        monkeypatch.setattr(solver, "_SINKHORN_ITERS", 1)
+        capped = solve_fgwot(bundle, hyper)
         assert len(calls) == 2
         assert capped.converged is False
         assert capped.inner_capped == 1
@@ -411,7 +411,7 @@ class TestSolveFgwot:
         assert np.abs(c.T.sum(axis=1) - bundle.p).max() < 1e-6
         assert np.abs(c.T.sum(axis=0) - bundle.q).max() < 1e-6
         assert (c.T > 0).all()
-        assert c.outer_iterations <= hyper.solver_max_outer
+        assert c.outer_iterations <= solver._MAX_OUTER
 
     def test_converges_on_structured_pair(self, rng):
         # two noisy views of the same sequence, the training-time workload
@@ -422,23 +422,25 @@ class TestSolveFgwot:
         assert c.converged
         assert len(c.objective_trace) == c.outer_iterations
 
-    def test_unstructured_pair_flags_non_convergence(self, rng):
+    def test_unstructured_pair_flags_non_convergence(self, rng, monkeypatch):
         # a random pair with an active band needs more than the default
         # outer budget at tol 1e-6; the result is flagged, not raised
         bundle, hyper = _bundle(rng, n=20, m=20, virtual=True, r=0.1)
         c = solve_fgwot(bundle, hyper)
         assert not c.converged
-        assert c.outer_iterations == hyper.solver_max_outer
+        assert c.outer_iterations == solver._MAX_OUTER
         assert np.abs(c.T.sum(axis=1) - bundle.p).max() < 1e-6  # still feasible
         # inner diagnostics: count of capped solves, worst violation over all
         assert 0 <= c.inner_capped <= c.outer_iterations
-        inner_tol = min(1e-9, hyper.solver_tol * 1e-3)
-        assert (c.inner_capped > 0) == (c.inner_violation > inner_tol)
+        assert (c.inner_capped > 0) == (c.inner_violation > solver._INNER_TOL)
         assert np.isfinite(c.inner_violation) and c.inner_violation >= 0.0
-        capped_only = solve_fgwot(bundle, replace(hyper, solver_sinkhorn_iters=1))
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_SINKHORN_ITERS", 1)
+            capped_only = solve_fgwot(bundle, hyper)
         assert capped_only.inner_capped == capped_only.outer_iterations
-        assert capped_only.inner_violation > inner_tol
-        relaxed = solve_fgwot(bundle, replace(hyper, solver_max_outer=200))
+        assert capped_only.inner_violation > solver._INNER_TOL
+        monkeypatch.setattr(solver, "_MAX_OUTER", 200)
+        relaxed = solve_fgwot(bundle, hyper)
         assert relaxed.converged
 
     def test_identical_videos_align_diagonally(self, rng):
