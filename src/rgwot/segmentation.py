@@ -40,11 +40,11 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
     Every run's seeding is drawn first, in run order; Lloyd draws nothing
     from rng. The Lloyd rounds of all runs then go in lockstep: each round
-    takes every still-moving run's cluster means and assigns the points to
-    the centers of all those runs with one matrix product; a round takes
-    new means only of the clusters whose members changed (_lloyd_means). A
-    run stops when its assignment repeats, or after _LLOYD_ITERS rounds. The
-    lowest SSE wins, the earliest run on ties.
+    takes every still-moving run's cluster means (_lloyd_means) and assigns
+    the points to the centers of all those runs with one matrix product. A
+    run stops when its assignment repeats, or after _LLOYD_ITERS rounds; its
+    SSE is the sum of the squared distances of that last round. The lowest
+    SSE wins, the earliest run on ties.
     """
     pts = np.asarray(points, dtype=np.float64)
     # k distinct values in one column already make k distinct points; only
@@ -53,50 +53,42 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         distinct = np.unique(pts, axis=0).shape[0]
         if distinct < k:
             raise DegenerateData(f"need at least {k} distinct points, got {distinct}")
-    buf = np.empty_like(pts)
-    centers = [_kmeans_pp(pts, k, rng, buf) for _ in range(_RESTARTS)]
     sq = np.sum(pts * pts, axis=1)
-    assign = _nearest(pts, sq, centers)
-    # the assignment each run's centers were averaged from; None while they
-    # are still the k-means++ points
-    averaged = [None] * len(centers)
+    centers = [_kmeans_pp(pts, sq, k, rng) for _ in range(_RESTARTS)]
+    assign, dist = _nearest(pts, sq, centers)
     moving = list(range(len(centers)))
     for _ in range(_LLOYD_ITERS):
         if not moving:
             break
-        new_centers = [_lloyd_means(pts, centers[r], assign[r], averaged[r]) for r in moving]
-        new_assign = _nearest(pts, sq, new_centers)
+        new_centers = [_lloyd_means(pts, centers[r], assign[r]) for r in moving]
+        new_assign, new_dist = _nearest(pts, sq, new_centers)
         still = []
-        for r, c, a in zip(moving, new_centers, new_assign):
+        for r, c, a, d in zip(moving, new_centers, new_assign, new_dist):
             if not np.array_equal(a, assign[r]):
                 still.append(r)
-            centers[r], assign[r], averaged[r] = c, a, assign[r]
+            centers[r], assign[r], dist[r] = c, a, d
         moving = still
     best_centers = None
     best_sse = np.inf
-    for c, a in zip(centers, assign):
-        np.take(c, a, axis=0, out=buf)
-        sse = float(np.sum(_square_diff(pts, buf, buf)))
+    for c, d in zip(centers, dist):
+        sse = float(d.sum())
         if sse < best_sse:
             best_centers, best_sse = c, sse
     return best_centers
 
 
-def _square_diff(pts, other, out):
-    # (pts - other) ** 2 written into out, which may alias other
-    np.subtract(pts, other, out=out)
-    return np.square(out, out=out)
-
-
-def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator,
-               buf: np.ndarray) -> np.ndarray:
+def _kmeans_pp(pts: np.ndarray, sq: np.ndarray, k: int,
+               rng: np.random.Generator) -> np.ndarray:
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
     for c in range(1, k):
-        # squared distance to the nearest chosen center; none is needed
-        # after the last draw
-        d = np.sum(_square_diff(pts, centers[c - 1], buf), axis=1)
+        # squared distance to the nearest chosen center, |p|^2 - 2 p.c + |c|^2,
+        # clipped at 0: rounding can take it below 0 where p is near c, and
+        # rng.choice rejects negative weights. None is needed after the last
+        # draw.
+        prev = centers[c - 1]
+        d = np.maximum(sq - 2.0 * (pts @ prev) + prev @ prev, 0.0)
         d2 = d if c == 1 else np.minimum(d2, d, out=d2)
         total = d2.sum()
         if total <= 0:
@@ -108,38 +100,33 @@ def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator,
     return centers
 
 
-def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray,
-                 averaged: np.ndarray | None) -> np.ndarray:
-    """Cluster means of assign; centers were the means of averaged.
+def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Cluster means of assign, from one product of its one-hot matrix.
 
-    A cluster with the same members in both assignments keeps its center,
-    which is that mean bit for bit: the same rows summed in the same order.
-    All clusters are recomputed in order when averaged is None (the centers
-    are k-means++ points) or a cluster is empty: a revived center is a point,
-    not a mean, and a revival reads the centers updated before it.
+    The product is taken per run: one stacked over all the runs rounds
+    differently, and the lockstep runs must match lone ones. An empty
+    cluster is revived at the point that fits worst; the clusters are then
+    taken in order, since a revival reads the centers updated before it.
     """
     k = centers.shape[0]
-    counts = np.bincount(assign, minlength=k)
+    onehot = (assign == np.arange(k)[:, None]).astype(np.float64)
+    sums = onehot @ pts
+    counts = onehot.sum(axis=1)
+    if counts.all():
+        return sums / counts[:, None]
     new_centers = centers.copy()
-    if averaged is None or not counts.all():
-        todo = range(k)
-    else:
-        moved = assign != averaged
-        todo = np.union1d(assign[moved], averaged[moved])
-    for c in todo:
+    for c in range(k):
         if counts[c]:
-            # the arithmetic of members.mean(axis=0), without the wrapper
-            idx = np.flatnonzero(assign == c)
-            new_centers[c] = np.add.reduce(pts[idx], axis=0) / idx.size
+            new_centers[c] = sums[c] / counts[c]
         else:
-            # revive an empty cluster at the point that fits worst
             worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
             new_centers[c] = pts[worst]
     return new_centers
 
 
 def _nearest(pts, sq, centers):
-    """Nearest-center index of every point, for each center set in centers.
+    """Nearest-center index and its squared distance, clipped at 0, of every
+    point, for each center set in centers.
 
     sq holds the squared norms of pts. One product covers all the sets. Each
     row is that center's row of (pts @ c.T).T for its set alone, bit for bit
@@ -166,7 +153,8 @@ def _nearest(pts, sq, centers):
         np.less(d2[c], low, out=closer)
         np.copyto(best, c, where=closer)
         np.minimum(low, d2[c], out=low)
-    return list(best)
+    np.maximum(low, 0.0, out=low)
+    return list(best), list(low)
 
 
 @dataclass(frozen=True)

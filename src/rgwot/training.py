@@ -10,6 +10,8 @@ single-threaded and fully determined by the passed Generator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .data_model import FrameFeatures, Hyperparams
@@ -21,6 +23,19 @@ from .solver import Coupling, solve_fgwot
 
 # L2 weight decay of every Adam step
 _WEIGHT_DECAY = 1e-5
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """What the history keeps of a step's LossReport: its scalars and mask
+    counts, without the embedding gradients the Adam step used up."""
+
+    align: float
+    reg_x: float
+    reg_y: float
+    total: float
+    masked: int
+    frames: int
 
 
 def sample_frames(n_total: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -73,12 +88,13 @@ def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
 
 
 def train(videos: list[FrameFeatures], hyper: Hyperparams, rng: np.random.Generator,
-          on_target=None) -> tuple[Encoder, list[LossReport]]:
+          on_target=None) -> tuple[Encoder, list[StepRecord]]:
     """Train an encoder on all videos of one task.
 
     Every epoch shuffles the videos and walks them in pairs (an odd video
     sits the epoch out). on_target, when given, receives the solved coupling
-    of every step (the CLI dumps it as a diagnostic).
+    of every step (the CLI dumps it as a diagnostic). The history holds one
+    StepRecord per step.
     """
     widths = {v.feature_dim for v in videos}
     if len(widths) != 1:
@@ -93,11 +109,12 @@ def train(videos: list[FrameFeatures], hyper: Hyperparams, rng: np.random.Genera
             report, coupling = train_step(encoder, adam, videos[a], videos[b], hyper, rng)
             if on_target is not None:
                 on_target(coupling)
-            history.append(report)
+            history.append(StepRecord(report.align, report.reg_x, report.reg_y,
+                                      report.total, report.masked, report.frames))
     return encoder, history
 
 
-def write_loss_csv(history: list[LossReport], path, hyper: Hyperparams) -> None:
+def write_loss_csv(history: list[StepRecord], path, hyper: Hyperparams) -> None:
     with open(path, "w") as fh:
         fh.write(f"# {hyper_header(hyper)}\n")
         fh.write("step,align,reg_x,reg_y,total\n")

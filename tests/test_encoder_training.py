@@ -348,6 +348,13 @@ class TestTrainingLoop:
         _, history = train(videos, desk_hyper, rng)
         assert len(history) == desk_hyper.epochs  # one pair per epoch
 
+    def test_history_holds_no_arrays(self, rng, desk_hyper):
+        # each step's embedding gradients are spent by its Adam step
+        _, history = train(toy_videos(rng), desk_hyper, rng)
+        assert history
+        for record in history:
+            assert not any(isinstance(v, np.ndarray) for v in vars(record).values())
+
     def test_zero_epochs(self, rng, desk_hyper):
         videos = toy_videos(rng)
         enc, history = train(videos, replace(desk_hyper, epochs=0), rng)

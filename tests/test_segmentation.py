@@ -1,6 +1,7 @@
 """Clustering, chain Potts labeling, step ordering, and segment_task."""
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from rgwot.errors import ConfigError, DegenerateData, EmptyVideo
 from rgwot.priors import background_mask
 from rgwot.segmentation import (
     GraphCutProblem,
-    _lloyd_means,
     alpha_expansion,
     init_centers,
     keystep_order,
@@ -27,77 +27,102 @@ def sse(points, centers):
     return float(d2.min(axis=1).sum())
 
 
-def reference_init_centers(points, k, rng, lloyd_iters=100, restarts=10, events=None):
+def reference_init_centers(points, k, rng, lloyd_iters=100, restarts=10, revived=None,
+                           arithmetic=None):
     """The sequential k-means restarts that init_centers runs in lockstep.
 
-    events, when given, collects ("revived", round, cluster) for every
-    revived empty cluster and ("kept", round, cluster) for every non-empty
-    cluster whose members are those of the round before, so that its mean is
-    the one already taken. Rounds count from 0.
+    arithmetic (PRODUCTS by default) gives the seeding distances, the
+    cluster means and a run's SSE. revived, when given, collects (round,
+    cluster) for every revived empty cluster; rounds count from 0.
     """
+    arithmetic = arithmetic or PRODUCTS
     pts = np.asarray(points, dtype=np.float64)
     if np.unique(pts, axis=0).shape[0] < k:
         raise DegenerateData(f"need at least {k} distinct points")
+    sq = np.sum(pts * pts, axis=1)
     best_centers = None
     best_sse = np.inf
     for _ in range(max(1, restarts)):
-        centers = reference_one_kmeans_run(pts, k, rng, lloyd_iters, events)
-        assign = reference_nearest(pts, centers)
-        sse = float(np.sum((pts - centers[assign]) ** 2))
+        centers = reference_one_kmeans_run(pts, sq, k, rng, lloyd_iters, revived, arithmetic)
+        sse = arithmetic.sse(pts, sq, centers)
         if sse < best_sse:
             best_centers, best_sse = centers, sse
     return best_centers
 
 
-def reference_one_kmeans_run(pts, k, rng, lloyd_iters, events):
+def reference_one_kmeans_run(pts, sq, k, rng, lloyd_iters, revived, arithmetic):
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = arithmetic.distances(pts, sq, centers[0])
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[c] = pts[rng.integers(n)]
         else:
             centers[c] = pts[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((pts - centers[c]) ** 2, axis=1))
-    assign = reference_nearest(pts, centers)
-    averaged = None
+        d2 = np.minimum(d2, arithmetic.distances(pts, sq, centers[c]))
+    assign = reference_nearest(pts, sq, centers)[0]
     for t in range(lloyd_iters):
-        if events is not None:
-            for c in range(k):
-                if averaged is not None and np.any(assign == c) \
-                        and np.array_equal(assign == c, averaged == c):
-                    events.append(("kept", t, c))
-                if not np.any(assign == c):
-                    events.append(("revived", t, c))
-        new_centers = reference_lloyd_means(pts, centers, assign)
-        new_assign = reference_nearest(pts, new_centers)
+        new_centers = reference_lloyd_means(pts, centers, assign, arithmetic.means)
+        if revived is not None:
+            revived += [(t, c) for c in range(k) if not np.any(assign == c)]
+        new_assign = reference_nearest(pts, sq, new_centers)[0]
         moved = not np.array_equal(new_assign, assign)
-        centers, assign, averaged = new_centers, new_assign, assign
+        centers, assign = new_centers, new_assign
         if not moved:
             break
     return centers
 
 
-def reference_lloyd_means(pts, centers, assign):
+def reference_lloyd_means(pts, centers, assign, means):
     """Every cluster's mean in cluster order; an empty one is revived at the
     point that fits worst, read against the centers updated so far."""
+    k = centers.shape[0]
+    cluster_means = means(pts, assign, k)
     new_centers = centers.copy()
-    for c in range(centers.shape[0]):
-        members = pts[assign == c]
-        if members.shape[0]:
-            new_centers[c] = members.mean(axis=0)
+    for c in range(k):
+        if np.any(assign == c):
+            new_centers[c] = cluster_means[c]
         else:
             worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
             new_centers[c] = pts[worst]
     return new_centers
 
 
-def reference_nearest(pts, centers):
-    d2 = np.sum(pts * pts, axis=1)[:, None] - 2.0 * pts @ centers.T \
-        + np.sum(centers * centers, axis=1)[None, :]
-    return np.argmin(d2, axis=1)
+def reference_nearest(pts, sq, centers):
+    """Nearest-center index of every point and its squared distance, clipped at 0."""
+    d2 = sq[:, None] - 2.0 * pts @ centers.T + np.sum(centers * centers, axis=1)[None, :]
+    return np.argmin(d2, axis=1), np.maximum(d2.min(axis=1), 0.0)
+
+
+def product_means(pts, assign, k):
+    # one product of the one-hot assignment; rows of empty clusters are unread
+    onehot = (assign == np.arange(k)[:, None]).astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        return (onehot @ pts) / onehot.sum(axis=1)[:, None]
+
+
+def mean_means(pts, assign, k):
+    return [pts[assign == c].mean(axis=0) if np.any(assign == c) else None
+            for c in range(k)]
+
+
+Arithmetic = namedtuple("Arithmetic", "distances means sse")
+# init_centers' arithmetic: |p|^2 - 2 p.c + |c|^2 clipped at 0 for the
+# seeding and the SSE, and means from a one-hot product
+PRODUCTS = Arithmetic(
+    distances=lambda pts, sq, c: np.maximum(sq - 2.0 * (pts @ c) + c @ c, 0.0),
+    means=product_means,
+    sse=lambda pts, sq, centers: float(reference_nearest(pts, sq, centers)[1].sum()),
+)
+# differences and .mean: the second oracle, equal to PRODUCTS up to rounding
+MEANS = Arithmetic(
+    distances=lambda pts, sq, c: np.sum((pts - c) ** 2, axis=1),
+    means=mean_means,
+    sse=lambda pts, sq, centers: float(
+        np.sum((pts - centers[reference_nearest(pts, sq, centers)[0]]) ** 2)),
+)
 
 
 def repeated_point_pools():
@@ -174,7 +199,16 @@ def axis_encoder(dim: int, delta: float = 1e-4) -> Encoder:
 
 class TestInitCenters:
     def test_recovers_separated_blobs(self, rng):
-        means = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        self.check_recovers_separated_blobs(rng, offset=0.0)
+
+    def test_recovers_separated_blobs_far_from_the_origin(self, rng):
+        # |p|^2 - 2 p.c + |c|^2 cancels about 2e12 here and can round below 0
+        # near a center; unclipped, the seeding weights would be negative
+        self.check_recovers_separated_blobs(rng, offset=1e6)
+
+    @staticmethod
+    def check_recovers_separated_blobs(rng, offset):
+        means = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]) + offset
         pts = np.concatenate(
             [m + 0.05 * rng.normal(size=(40, 2)) for m in means], axis=0
         )
@@ -239,54 +273,47 @@ class TestInitCenters:
     @pytest.mark.parametrize("restarts", [1, 3, 10])
     def test_same_centers_and_rng_state_as_sequential_runs(self, restarts, monkeypatch):
         monkeypatch.setattr(segmentation, "_RESTARTS", restarts)
-        events = []
         for i, pts in enumerate(repeated_point_pools()):
             for k in range(1, 7):
                 if np.unique(pts, axis=0).shape[0] < k:
                     continue
                 want_rng = np.random.default_rng(1000 + 10 * i + k)
                 got_rng = np.random.default_rng(1000 + 10 * i + k)
-                want = reference_init_centers(pts, k, want_rng, restarts=restarts,
-                                              events=events)
+                want = reference_init_centers(pts, k, want_rng, restarts=restarts)
                 got = init_centers(pts, k, got_rng)
                 assert np.array_equal(got, want), (i, k)
                 assert got.tobytes() == want.tobytes(), (i, k)  # also tells -0.0 from 0.0
                 assert got_rng.random() == want_rng.random(), (i, k)
-        # the pools reach rounds that keep some clusters' members
-        assert any(e[0] == "kept" for e in events)
 
     @pytest.mark.parametrize("restarts", [1, 3, 10])
     def test_same_centers_through_empty_cluster_revival(self, restarts, monkeypatch):
         monkeypatch.setattr(segmentation, "_RESTARTS", restarts)
-        events = []
+        revived = []
         want_rng = np.random.default_rng(0)
         want = reference_init_centers(REVIVAL_POOL, 4, want_rng, restarts=restarts,
-                                      events=events)
+                                      revived=revived)
         # the pool reaches the revival branch after the first round
-        assert any(e[0] == "revived" and e[1] >= 1 for e in events)
+        assert any(t >= 1 for t, _ in revived)
         got_rng = np.random.default_rng(0)
         got = init_centers(REVIVAL_POOL, 4, got_rng)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
 
-    def test_means_of_changed_clusters_match_a_full_recompute(self):
-        # centers are the means of an earlier assignment, with its empty
-        # clusters revived; the new assignment moves a few points and
-        # sometimes leaves a revived cluster empty again
-        g = np.random.default_rng(5)
-        for trial in range(300):
-            n, k = int(g.integers(4, 30)), int(g.integers(2, 7))
-            pts = g.integers(0, 4, size=(n, 2)).astype(np.float64)
-            averaged = g.integers(k, size=n)
-            averaged[averaged == trial % k] = (trial + 1) % k  # one empty cluster
-            centers = reference_lloyd_means(pts, pts[g.integers(n, size=k)], averaged)
-            assign = averaged.copy()
-            movers = g.integers(n, size=int(g.integers(1, 4)))
-            assign[movers] = g.integers(k, size=movers.size)
-            got = _lloyd_means(pts, centers, assign, averaged)
-            want = reference_lloyd_means(pts, centers, assign)
-            assert got.tobytes() == want.tobytes(), trial
+    def test_same_labels_as_the_mean_arithmetic(self):
+        # the k-means of differences and .mean (MEANS) as a second oracle:
+        # the same final assignment, and centers that differ by rounding
+        for i, pts in enumerate(repeated_point_pools() + [REVIVAL_POOL]):
+            sq = np.sum(pts * pts, axis=1)
+            for k in range(1, 7):
+                if np.unique(pts, axis=0).shape[0] < k:
+                    continue
+                got = init_centers(pts, k, np.random.default_rng(1000 + 10 * i + k))
+                want = reference_init_centers(pts, k, np.random.default_rng(1000 + 10 * i + k),
+                                              arithmetic=MEANS)
+                assert np.array_equal(reference_nearest(pts, sq, got)[0],
+                                      reference_nearest(pts, sq, want)[0]), (i, k)
+                assert np.abs(got - want).max() <= 1e-12, (i, k)
 
 
 class TestLabelingEnergy:
