@@ -3,7 +3,8 @@
 Frames of all videos are clustered jointly: the best of several k-means
 runs, whose k-means++ seedings are drawn first and whose Lloyd rounds then
 run in lockstep, with one distance product per round for all the runs still
-moving. Each video is then labeled by the exact minimum of a chain
+moving and each run's cluster sums updated by the points that changed
+cluster. Each video is then labeled by the exact minimum of a chain
 energy whose unary cost is the squared distance to the cluster centers and
 whose pairwise cost is a Potts penalty on consecutive frames; a Viterbi DP
 with the Potts min trick finds it in O(N*K). Key-step order within a video
@@ -42,9 +43,13 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     from rng. The Lloyd rounds of all runs then go in lockstep: each round
     takes every still-moving run's cluster means (_lloyd_means) and assigns
     the points to the centers of all those runs with one matrix product. A
-    run stops when its assignment repeats, or after _LLOYD_ITERS rounds; its
-    SSE is the sum of the squared distances of that last round. The lowest
-    SSE wins, the earliest run on ties.
+    run keeps its cluster sums and counts and the assignment they were
+    summed from, and updates them by the points that changed cluster
+    (_cluster_sums). A run stops when its assignment repeats, or after
+    _LLOYD_ITERS rounds. Its centers are then averaged again from one
+    product over the assignment they came from, so no drift of the running
+    sums reaches them, and its SSE is the sum of the squared distances to
+    those centers. The lowest SSE wins, the earliest run on ties.
     """
     pts = np.asarray(points, dtype=np.float64)
     # k distinct values in one column already make k distinct points; only
@@ -55,19 +60,35 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             raise DegenerateData(f"need at least {k} distinct points, got {distinct}")
     sq = np.sum(pts * pts, axis=1)
     centers = [_kmeans_pp(pts, sq, k, rng) for _ in range(_RESTARTS)]
-    assign, dist = _nearest(pts, sq, centers)
+    assign = _nearest(pts, sq, centers)[0]
+    # per run: the assignment its centers were averaged from, and the
+    # cluster sums and counts of that assignment
+    summed = [None] * len(centers)
+    sums = [None] * len(centers)
+    counts = [None] * len(centers)
     moving = list(range(len(centers)))
     for _ in range(_LLOYD_ITERS):
         if not moving:
             break
-        new_centers = [_lloyd_means(pts, centers[r], assign[r]) for r in moving]
-        new_assign, new_dist = _nearest(pts, sq, new_centers)
+        for r in moving:
+            sums[r], counts[r] = _cluster_sums(pts, assign[r], k, summed[r], sums[r])
+            centers[r] = _lloyd_means(pts, centers[r], assign[r], sums[r], counts[r])
+            summed[r] = assign[r]
+        new_assign = _nearest(pts, sq, [centers[r] for r in moving])[0]
         still = []
-        for r, c, a, d in zip(moving, new_centers, new_assign, new_dist):
+        for r, a in zip(moving, new_assign):
             if not np.array_equal(a, assign[r]):
                 still.append(r)
-            centers[r], assign[r], dist[r] = c, a, d
+            assign[r] = a
         moving = still
+    for r in range(len(centers)):
+        # a run that revived a cluster in its last round took fresh sums then
+        if counts[r].all():
+            centers[r] = _cluster_sums(pts, summed[r], k)[0] / counts[r][:, None]
+    # each assignment is a row of a round's index array and keeps all of it
+    # alive; let them go before the last product over all the runs
+    del assign, summed
+    dist = _nearest(pts, sq, centers)[1]
     best_centers = None
     best_sse = np.inf
     for c, d in zip(centers, dist):
@@ -100,22 +121,43 @@ def _kmeans_pp(pts: np.ndarray, sq: np.ndarray, k: int,
     return centers
 
 
-def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """Cluster means of assign, from one product of its one-hot matrix.
+def _cluster_sums(pts: np.ndarray, assign: np.ndarray, k: int,
+                  summed: np.ndarray | None = None,
+                  sums: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the points in each cluster of assign, and the clusters' sizes.
 
-    The product is taken per run: one stacked over all the runs rounds
-    differently, and the lockstep runs must match lone ones. An empty
-    cluster is revived at the point that fits worst; the clusters are then
-    taken in order, since a revival reads the centers updated before it.
+    Given the cluster sums of an earlier assignment summed, only the points
+    whose cluster changed since are added to their new cluster and taken
+    from their old one, in one product over those points. Without them, or
+    when a cluster of assign is empty, the sums come from one product of
+    assign's one-hot matrix, so that a revival reads fresh sums. The
+    products are taken per run: one stacked over all the runs rounds
+    differently, and the lockstep runs must match lone ones.
     """
-    k = centers.shape[0]
-    onehot = (assign == np.arange(k)[:, None]).astype(np.float64)
-    sums = onehot @ pts
-    counts = onehot.sum(axis=1)
+    counts = np.bincount(assign, minlength=k)
+    if summed is None or not counts.all():
+        onehot = (assign == np.arange(k)[:, None]).astype(np.float64)
+        return onehot @ pts, counts
+    moved = np.flatnonzero(assign != summed)
+    cols = np.arange(moved.size)
+    step = np.zeros((k, moved.size))
+    step[assign[moved], cols] = 1.0
+    step[summed[moved], cols] = -1.0
+    return sums + step @ pts[moved], counts
+
+
+def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray,
+                 sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Cluster means of assign from its cluster sums and counts.
+
+    An empty cluster is revived at the point that fits worst; the clusters
+    are then taken in order, since a revival reads the centers updated
+    before it.
+    """
     if counts.all():
         return sums / counts[:, None]
     new_centers = centers.copy()
-    for c in range(k):
+    for c in range(centers.shape[0]):
         if counts[c]:
             new_centers[c] = sums[c] / counts[c]
         else:
@@ -263,6 +305,19 @@ def compute_segment_masks(embeddings: list[np.ndarray], hyper: Hyperparams,
     return masks
 
 
+def _unary_costs(e: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance of every frame in e to every center, (N, k).
+
+    Filled one center at a time: each entry sums the same d contiguous
+    squares as the N x k x d difference would, bit for bit, without its
+    two N x k x d temporaries.
+    """
+    unary = np.empty((e.shape[0], centers.shape[0]))
+    for c, center in enumerate(centers):
+        unary[:, c] = np.sum((e - center) ** 2, axis=1)
+    return unary
+
+
 def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
                  beta: float, hyper: Hyperparams, rng: np.random.Generator,
                  use_masks: bool = True, on_coupling=None) -> SegmentationResult:
@@ -287,7 +342,7 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     orders = []
     traces = []
     for video, e, mask in zip(videos, embeddings, masks):
-        unary = np.sum((e[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        unary = _unary_costs(e, centers)
         labels, trace = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
         labels = labels.astype(np.int64)
         labels[mask] = BACKGROUND

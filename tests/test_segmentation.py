@@ -315,6 +315,38 @@ class TestInitCenters:
                                       reference_nearest(pts, sq, want)[0]), (i, k)
                 assert np.abs(got - want).max() <= 1e-12, (i, k)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_running_sums_match_a_fresh_product(self, seed):
+        # a seeded assignment sequence whose rounds move no point, one point
+        # and many points, and which empties a cluster and refills it
+        g = np.random.default_rng(seed)
+        n, k = 300, 6
+        pts = g.normal(size=(n, 128))
+        assign = g.integers(k, size=n)
+        sums, counts = segmentation._cluster_sums(pts, assign, k)
+        for moves in [0, 1, 150, 1, "empty", 7, 0, 299, "refill", 40, 1]:
+            new = assign.copy()
+            if moves == "empty":
+                new[new == 2] = 3
+            elif moves == "refill":
+                new[g.choice(n, size=20, replace=False)] = 2
+            else:
+                moved = g.choice(n, size=moves, replace=False)
+                new[moved] = (new[moved] + g.integers(1, k, size=moves)) % k
+            before = sums
+            sums, counts = segmentation._cluster_sums(pts, new, k, assign, sums)
+            onehot = (new == np.arange(k)[:, None]).astype(np.float64)
+            fresh = onehot @ pts
+            assert np.abs(sums - fresh).max() <= 1e-12, moves
+            assert counts.tolist() == onehot.sum(axis=1).astype(int).tolist(), moves
+            if moves == 0:
+                assert sums.tobytes() == before.tobytes()
+            if moves == "empty":
+                # a revival must read fresh sums, not running ones
+                assert counts[2] == 0
+                assert sums.tobytes() == fresh.tobytes()
+            assign = new
+
 
 class TestLabelingEnergy:
     def test_hand_computed(self):
@@ -473,6 +505,17 @@ def blob_videos(n_videos=3, frames_per_step=12, dim=8, noise=0.02, seed=0):
         )
         videos.append(FrameFeatures(f"vid{v}", rows.astype(np.float32)))
     return videos
+
+
+class TestUnaryCosts:
+    @pytest.mark.parametrize("d", [1, 3, 24, 127, 128, 129, 300])
+    def test_same_bytes_as_the_three_dimensional_difference(self, d):
+        g = np.random.default_rng(d)
+        for n, k in [(1, 1), (5, 7), (260, 7), (33, 3)]:
+            e = g.normal(size=(n, d)) * g.uniform(0.1, 100.0)
+            centers = g.normal(size=(k, d))
+            want = np.sum((e[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+            assert segmentation._unary_costs(e, centers).tobytes() == want.tobytes(), (n, k)
 
 
 class TestSegmentTask:
