@@ -230,6 +230,8 @@ def cmd_segment(args) -> int:
                           use_masks=not args.no_masks, on_coupling=on_coupling)
     if solves:
         _print_inner_solves(solves)
+    frames = sum(seq.labels.size for seq in result.labels)
+    print(f"smoothing relabelled {sum(result.relabelled)} of {frames} frames")
     rows = []
     for seq in result.labels:
         save_labels(seq, out / f"{seq.video_id}.labels.txt")

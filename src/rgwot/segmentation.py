@@ -1,15 +1,16 @@
 """Key-step discovery: clustering, per-video Potts smoothing, ordering.
 
 Frames of all videos are clustered jointly: the best of several k-means
-runs, whose k-means++ seedings are drawn first and whose Lloyd rounds then
-run in lockstep, with one distance product per round for all the runs still
-moving and each run's cluster sums updated by the points that changed
+runs, whose greedy k-means++ seedings are drawn first and whose Lloyd rounds
+then run in lockstep, with one distance product per round for all the runs
+still moving and each run's cluster sums updated by the points that changed
 cluster. Each video is then labeled by the exact minimum of a chain
 energy whose unary cost is the squared distance to the cluster centers and
 whose pairwise cost is a Potts penalty on consecutive frames; a Viterbi DP
-with the Potts min trick finds it in O(N*K). Key-step order within a video
-is the ascending mean normalized frame time of each label; the task-level
-order ranks per-video orders by frequency.
+with the Potts min trick finds it in O(N*K), over Python floats, since at a
+few labels per frame a numpy call costs more than the arithmetic it does.
+Key-step order within a video is the ascending mean normalized frame time
+of each label; the task-level order ranks per-video orders by frequency.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ from .solver import solve_fgwot
 
 # k-means runs per init_centers call, and the cap on Lloyd rounds per run;
 # a run stops earlier once its assignment repeats
-_RESTARTS = 10
+_RESTARTS = 5
 _LLOYD_ITERS = 100
 
 
 def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Best of _RESTARTS k-means runs (k-means++ seeding, Lloyd refinement).
+    """Best of _RESTARTS k-means runs (greedy k-means++ seeding, Lloyd refinement).
 
     Restarts matter here: a lone run can park a center on diffuse outlier
-    mass and merge two real clusters, which a better-SSE run avoids.
+    mass and merge two real clusters, which a better-SSE run avoids. The
+    greedy seeding (_kmeans_pp) makes that rarer, so fewer restarts reach
+    the best SSE.
 
     Every run's seeding is drawn first, in run order; Lloyd draws nothing
     from rng. The Lloyd rounds of all runs then go in lockstep: each round
@@ -49,7 +52,8 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     _LLOYD_ITERS rounds. Its centers are then averaged again from one
     product over the assignment they came from, so no drift of the running
     sums reaches them, and its SSE is the sum of the squared distances to
-    those centers. The lowest SSE wins, the earliest run on ties.
+    those centers, from a product over its own centers. The lowest SSE
+    wins, the earliest run on ties.
     """
     pts = np.asarray(points, dtype=np.float64)
     # k distinct values in one column already make k distinct points; only
@@ -85,14 +89,13 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         # a run that revived a cluster in its last round took fresh sums then
         if counts[r].all():
             centers[r] = _cluster_sums(pts, summed[r], k)[0] / counts[r][:, None]
-    # each assignment is a row of a round's index array and keeps all of it
-    # alive; let them go before the last product over all the runs
-    del assign, summed
-    dist = _nearest(pts, sq, centers)[1]
     best_centers = None
     best_sse = np.inf
-    for c, d in zip(centers, dist):
-        sse = float(d.sum())
+    for c in centers:
+        # from the run's own product: a row of a product stacked over all the
+        # runs can round differently in its last bit, and runs that stop at
+        # one clustering with their centers in another order must tie
+        sse = float(_nearest(pts, sq, [c])[1][0].sum())
         if sse < best_sse:
             best_centers, best_sse = c, sse
     return best_centers
@@ -100,25 +103,45 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 def _kmeans_pp(pts: np.ndarray, sq: np.ndarray, k: int,
                rng: np.random.Generator) -> np.ndarray:
+    """Greedy k-means++ seeding (Arthur and Vassilvitskii 2007).
+
+    The first center is a uniform draw. Each later one draws 2 + floor(ln k)
+    candidates from the D^2 weights, the squared distances to the nearest
+    center chosen so far, and keeps the candidate that leaves the lowest
+    potential, the sum of those distances once it is added; the first
+    candidate wins ties.
+    """
     n = pts.shape[0]
+    trials = 2 + int(math.log(k))
     centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[rng.integers(n)]
+    first = rng.integers(n)
+    centers[0] = pts[first]
+    if k == 1:
+        return centers
+    d2 = _seed_distances(pts, sq, pts[first:first + 1])[0]
     for c in range(1, k):
-        # squared distance to the nearest chosen center, |p|^2 - 2 p.c + |c|^2,
-        # clipped at 0: rounding can take it below 0 where p is near c, and
-        # rng.choice rejects negative weights. None is needed after the last
-        # draw.
-        prev = centers[c - 1]
-        d = np.maximum(sq - 2.0 * (pts @ prev) + prev @ prev, 0.0)
-        d2 = d if c == 1 else np.minimum(d2, d, out=d2)
         total = d2.sum()
         if total <= 0:
             # init_centers checked for k distinct points, so this is reached
             # only when the squared distances underflow; draw any point
             centers[c] = pts[rng.integers(n)]
-        else:
-            centers[c] = pts[rng.choice(n, p=d2 / total)]
+            continue
+        ids = rng.choice(n, size=trials, p=d2 / total)
+        dist = np.minimum(_seed_distances(pts, sq, pts[ids]), d2)
+        best = int(np.argmin(dist.sum(axis=1)))
+        centers[c] = pts[ids[best]]
+        d2 = dist[best]
     return centers
+
+
+def _seed_distances(pts: np.ndarray, sq: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Squared distances of every point to each candidate row, (m, n).
+
+    |p|^2 - 2 c.p + |c|^2 in one product, clipped at 0: rounding can take it
+    below 0 where p is near c, and rng.choice rejects negative weights.
+    """
+    d2 = sq - 2.0 * (cands @ pts.T) + np.sum(cands * cands, axis=1)[:, None]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _cluster_sums(pts: np.ndarray, assign: np.ndarray, k: int,
@@ -170,11 +193,12 @@ def _nearest(pts, sq, centers):
     """Nearest-center index and its squared distance, clipped at 0, of every
     point, for each center set in centers.
 
-    sq holds the squared norms of pts. One product covers all the sets. Each
-    row is that center's row of (pts @ c.T).T for its set alone, bit for bit
-    with OpenBLAS, and doubling is exact, so each set's nearest center is the
-    one a lone run takes; tests/test_segmentation.py checks that against the
-    sequential runs.
+    sq holds the squared norms of pts. One product covers all the sets. A
+    row of it can differ from the same row of a product for its set alone in
+    the last bit, depending on where it sits in the stack; that moves no
+    point unless two of a set's centers are equally near it, so each set's
+    nearest centers are the ones a lone run takes, which
+    tests/test_segmentation.py checks against the sequential runs.
     """
     k = centers[0].shape[0]
     # center-major rows: row c * len(centers) + r is center c of set r, so
@@ -235,26 +259,30 @@ def alpha_expansion(problem: GraphCutProblem):
 
     The name predates the DP and is kept for callers. Each step costs O(K):
     cost[i, l] = unary[i, l] + min(cost[i-1, l], min(cost[i-1]) + beta), and
-    a frame keeps its label when staying costs no more than switching.
+    a frame keeps its label when staying costs no more than switching; ties
+    go to the first label. The DP runs over Python floats, which add and
+    compare as float64 does.
 
     Returns (labels, energy_trace); the trace has one entry, the energy of
     the returned labeling.
     """
-    unary = problem.unary
-    beta = problem.pairwise_weight
-    back = np.empty(unary.shape, dtype=np.int64)
-    cost = unary[0].astype(np.float64)
-    for i in range(1, problem.n):
-        best = int(np.argmin(cost))
-        switch = cost[best] + beta
-        stay = cost <= switch
-        back[i] = np.where(stay, np.arange(problem.k), best)
-        cost = unary[i] + np.minimum(cost, switch)
-    path = np.empty(problem.n, dtype=np.int64)
-    path[-1] = np.argmin(cost)
-    for i in range(problem.n - 1, 0, -1):
-        path[i - 1] = back[i, path[i]]
-    return path, [labeling_energy(problem, path)]
+    rows = np.asarray(problem.unary, dtype=np.float64).tolist()
+    beta = float(problem.pairwise_weight)
+    back = []  # back[i - 1][l]: the label of frame i - 1 on the best path to l at i
+    cost = rows[0]
+    for row in rows[1:]:
+        low = min(cost)
+        best = cost.index(low)
+        switch = low + beta
+        back.append([j if c <= switch else best for j, c in enumerate(cost)])
+        cost = [u + (c if c <= switch else switch) for u, c in zip(row, cost)]
+    label = cost.index(min(cost))
+    path = [label]
+    for step in reversed(back):
+        label = step[label]
+        path.append(label)
+    labels = np.array(path[::-1], dtype=np.int64)
+    return labels, [labeling_energy(problem, labels)]
 
 
 def keystep_order(labels: np.ndarray) -> list[int]:
@@ -283,7 +311,9 @@ class SegmentationResult:
     labels: tuple[LabelSequence, ...]
     orders: tuple[tuple[int, ...], ...]  # aligned with labels; empty if fully masked
     task_order: tuple[tuple[tuple[int, ...], int], ...]
-    energy_traces: tuple[tuple[float, ...], ...]
+    # per video: frames whose smoothed label is not their unary argmin,
+    # counted before the masked frames are set to BACKGROUND
+    relabelled: tuple[int, ...]
     centers: np.ndarray
 
 
@@ -326,8 +356,6 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     With use_masks, background frames are detected by pairwise alignment
     first, excluded from clustering, and forced to label BACKGROUND.
     on_coupling, when given, receives the coupling of each of those solves.
-    Each video's energy trace has one entry, the Potts energy of its labels
-    before the masked frames are set to BACKGROUND.
     """
     _check_potts_weight(beta)  # before the alignment solves, not after
     embeddings = [enc.forward(v.data)[0] for v in videos]
@@ -340,23 +368,22 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
 
     label_seqs = []
     orders = []
-    traces = []
+    relabelled = []
     for video, e, mask in zip(videos, embeddings, masks):
         unary = _unary_costs(e, centers)
-        labels, trace = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
-        labels = labels.astype(np.int64)
+        labels, _ = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
+        relabelled.append(int(np.count_nonzero(labels != np.argmin(unary, axis=1))))
         labels[mask] = BACKGROUND
         label_seqs.append(LabelSequence(video_id=video.video_id, labels=labels))
         if np.any(labels != BACKGROUND):
             orders.append(tuple(keystep_order(labels)))
         else:
             orders.append(tuple())
-        traces.append(tuple(trace))
     ranked = rank_orders([list(o) for o in orders if o])
     return SegmentationResult(
         labels=tuple(label_seqs),
         orders=tuple(orders),
         task_order=tuple(ranked),
-        energy_traces=tuple(traces),
+        relabelled=tuple(relabelled),
         centers=centers,
     )

@@ -280,6 +280,36 @@ class TestSegmentAndEval:
         lines = capsys.readouterr().out.splitlines()
         assert not any(ln.startswith("inner solves") for ln in lines)
 
+    def test_reports_frames_relabelled_by_smoothing(self, task_dir, trained_dir, tmp_path,
+                                                     capsys, monkeypatch):
+        frames = sum(load_labels(e.labels_path, e.video_id).labels.size
+                     for e in load_manifest(task_dir).videos)
+        argv = ["segment", "--manifest", str(task_dir),
+                "--checkpoint", str(trained_dir / "encoder.rgwf"),
+                "--zeta", "0", "--no-masks", "--seed", "0"]
+        # at beta 0 every frame keeps its unary argmin
+        assert main(argv + ["--beta", "0", "--out", str(tmp_path / "raw")]) == 0
+        assert f"smoothing relabelled 0 of {frames} frames" \
+            in capsys.readouterr().out.splitlines()
+        solved = []
+        solve = segmentation.alpha_expansion
+
+        def recorded(problem):
+            labels, trace = solve(problem)
+            solved.append((problem.unary, labels.copy()))
+            return labels, trace
+
+        monkeypatch.setattr(segmentation, "alpha_expansion", recorded)
+        # at this beta each video takes one label throughout
+        assert main(argv + ["--beta", "1e6", "--out", str(tmp_path / "flat")]) == 0
+        assert len(solved) == 4
+        assert all(np.unique(labels).size == 1 for _, labels in solved)
+        relabelled = sum(int(np.count_nonzero(labels != np.argmin(unary, axis=1)))
+                         for unary, labels in solved)
+        assert relabelled > 0
+        assert f"smoothing relabelled {relabelled} of {frames} frames" \
+            in capsys.readouterr().out.splitlines()
+
     def test_segment_without_checkpoint_errors(self, task_dir, tmp_path, capsys):
         rc = main(["segment", "--manifest", str(task_dir), "--out", str(tmp_path)])
         assert rc == 2
