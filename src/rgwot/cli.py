@@ -23,7 +23,7 @@ from .data_model import Hyperparams, load_labels, load_manifest, load_task, save
 from .encoder import load_encoder, save_encoder
 from .errors import RgwotError
 from .evaluation import evaluate, write_metrics_csv
-from .priors import build_cost_bundle
+from .priors import background_mask, build_cost_bundle
 from .segmentation import segment_task
 from .solver import solve_fgwot
 from .synth import profiles, write_task
@@ -221,15 +221,25 @@ def cmd_segment(args) -> int:
     enc = load_encoder(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     solves = []  # (inner solves capped, inner solves, worst inner violation) per mask solve
+    masks = []  # (frames masked, frames, stopped at the outer cap) per mask solve
 
     def on_coupling(coupling):
         solves.append((coupling.inner_capped, coupling.outer_iterations,
                        coupling.inner_violation))
+        # the mask of the solve's first video, as compute_segment_masks takes it
+        mask, _ = background_mask(coupling, hyper.zeta)
+        # the plan still moved when the outer loop ran out; a structure-free
+        # solve stops after its first pass with final_delta 0
+        at_cap = not coupling.converged and coupling.final_delta > 0
+        masks.append((int(np.count_nonzero(mask)), mask.size, at_cap))
 
     result = segment_task(videos, enc, hyper.k, args.beta, hyper, rng,
                           use_masks=not args.no_masks, on_coupling=on_coupling)
     if solves:
         _print_inner_solves(solves)
+        print(f"masked {sum(m for m, _, _ in masks)} of {sum(n for _, n, _ in masks)} frames, "
+              f"{sum(c for _, _, c in masks)} of {len(masks)} alignment solves "
+              f"stopped at the outer cap")
     frames = sum(seq.labels.size for seq in result.labels)
     print(f"smoothing relabelled {sum(result.relabelled)} of {frames} frames")
     rows = []

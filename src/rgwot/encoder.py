@@ -9,7 +9,7 @@ sidecar describing shapes and hyperparameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -89,11 +89,13 @@ class Encoder:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers for Adam."""
+    """Per-parameter first/second moment buffers for Adam, and two scratch
+    buffers per parameter that every step reuses."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def for_encoder(cls, enc: Encoder) -> "AdamState":
@@ -107,22 +109,27 @@ def adam_update(enc: Encoder, state: AdamState, grads: dict[str, np.ndarray],
 
     The parameters and both moment buffers are updated in place, with the
     operations of theta -= lr * m_hat / (sqrt(v_hat) + eps) in that order.
+    Every temporary is computed in the state's two scratch buffers of the
+    parameter, made at its first step.
     """
     state.step += 1
     t = state.step
     for name in PARAM_NAMES:
         theta = getattr(enc, name)
         m, v = state.m[name], state.v[name]
-        g = weight_decay * theta
+        if name not in state.scratch:
+            state.scratch[name] = (np.empty_like(theta), np.empty_like(theta))
+        g, step = state.scratch[name]
+        np.multiply(theta, weight_decay, out=g)
         g += grads[name]
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        m += np.multiply(g, 1.0 - _BETA1, out=step)
         g *= g
         v *= _BETA2
-        v += (1.0 - _BETA2) * g
-        step = m / (1.0 - _BETA1 ** t)
+        v += np.multiply(g, 1.0 - _BETA2, out=step)
+        np.divide(m, 1.0 - _BETA1 ** t, out=step)
         step *= lr
-        denom = v / (1.0 - _BETA2 ** t)
+        denom = np.divide(v, 1.0 - _BETA2 ** t, out=g)
         np.sqrt(denom, out=denom)
         denom += _EPS
         step /= denom

@@ -42,7 +42,7 @@ _CHECK = 8
 _RHO_MIN = 0.3
 
 
-def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
+def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0, K=None):
     """Entropic OT dual potentials by Sinkhorn sweeps from (f0, g0).
 
     Returns (f, g, iters, violation) where violation is the max absolute
@@ -53,11 +53,13 @@ def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
     f = f0 + eps log u and g = g0 + eps log v, the log-domain updates become
     v = q / K^T u and u = p / K v, two mat-vecs per sweep. K^T u is then
     computed once and serves the next sweep's v and, at a check, the column
-    violation v * K^T u - q. K is built once. The violation and the range of
-    the scalings are checked only after sweeps that are multiples of _CHECK
-    and after sweep max_iters, so a converged solve stops at the first check
-    whose violation is at most tol, up to _CHECK - 1 sweeps after the first
-    sweep that met it.
+    violation v * K^T u - q. K is built once, in place in the optional
+    buffer K (C-contiguous, shaped like G), which a restart in the log domain
+    reuses as its scratch; without it the kernel allocates one. The violation
+    and the range of the scalings are checked only after sweeps that are
+    multiples of _CHECK and after sweep max_iters, so a converged solve stops
+    at the first check whose violation is at most tol, up to _CHECK - 1
+    sweeps after the first sweep that met it.
 
     Between checks the sweeps converge linearly, so some checks take one
     Aitken step on the slow mode. When a check ends a block of plain sweeps,
@@ -95,21 +97,28 @@ def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
     saved = None  # (u, v, K^T u, violation) before an extrapolation
     # overflow and 0-division show up as scalings out of range below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        K = np.exp((f0[:, None] + g0[None, :] - G) / eps)
+        if K is None:
+            K = np.empty(G.shape)
+        np.add(f0[:, None], g0[None, :], out=K)
+        np.subtract(K, G, out=K)
+        np.divide(K, eps, out=K)
+        np.exp(K, out=K)
         ktu = K.sum(axis=0)
+        # ndarray.dot makes the BLAS call of @ with less overhead per call:
+        # 0.57 against 1.03 us for a 33x33 mat-vec, 3.0 against 3.4 us at 132x131
         for start in range(0, max_iters, _CHECK):
             end = min(start + _CHECK, max_iters)
             for _ in range(start, end):
                 v_new = q / ktu
-                u_new = p / (K @ v_new)
-                ktu = u_new @ K
+                u_new = p / K.dot(v_new)
+                ktu = u_new.dot(K)
             violation = np.max(np.abs(v_new * ktu - q))
             in_range = (_SCALING_MIN <= u_new.min() and u_new.max() <= _SCALING_MAX
                         and _SCALING_MIN <= v_new.min() and v_new.max() <= _SCALING_MAX
                         and math.isfinite(violation))
             extrapolated, saved = saved, None
             if extrapolated is None and not in_range:
-                return _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f0, g0)
+                return _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f0, g0, K)
             if extrapolated is not None and not (in_range and violation < extrapolated[3]):
                 u_new, v_new, ktu, violation = extrapolated
             base, prev = prev, (violation, u_new)
@@ -122,11 +131,11 @@ def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0):
                 if _RHO_MIN < rho < 1.0:
                     saved = (u, v, ktu, violation)
                     u = u * (u / base[1]) ** (rho / (1.0 - rho))
-                    ktu = u @ K
+                    ktu = u.dot(K)
     return f0 + eps * np.log(u), g0 + eps * np.log(v), iters, violation
 
 
-def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g):
+def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g, buf=None):
     """The same sweeps from (f, g) with log-sum-exps over G.
 
     The reference solve of sinkhorn_log, and its fallback. The violation is
@@ -136,11 +145,13 @@ def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g):
     if the violation fell below the saved one.
     """
     q = np.exp(logq)
-    # Every n x m temporary of a sweep is computed in this one buffer. Fresh
-    # ones cost a page fault per page per sweep once the allocator hands them
-    # back to the OS. G is C-contiguous, so buf has the layout the temporaries
-    # had, and each sum adds in the same order.
-    buf = np.empty(G.shape)
+    # Every n x m temporary of a sweep is computed in this one buffer (the
+    # caller's, when given). Fresh ones cost a page fault per page per sweep
+    # once the allocator hands them back to the OS. G and buf are
+    # C-contiguous, so buf has the layout the temporaries had, and each sum
+    # adds in the same order.
+    if buf is None:
+        buf = np.empty(G.shape)
 
     def scaled(shift):
         np.subtract(shift, G, out=buf)
@@ -172,28 +183,52 @@ def _sinkhorn_log_domain(G, logp, logq, eps, max_iters, tol, f, g):
     return f, g, iters, violation
 
 
-def banded_gw_product(T, wx, wy, inv_r):
+def banded_gw_product(T, wx, wy, inv_r, out=None, scratch=None):
     """C_x @ T @ C_y using the band structure in O(N*M).
 
     C_x is inv_r inside the off-diagonal band |i-k| in [1, wx], zero
     elsewhere. C_y is zero inside the band |j-l| in [1, wy] and one
     elsewhere, including the diagonal.
+
+    The result is written into out (any n x m float64 array, a view
+    included) when it is given. scratch, when given, is a float64 array of
+    at least n*m + (n+1)*(m+1) entries that holds the prefix sums; without
+    it the kernel allocates one. Each window sum is the difference of two
+    prefix sums, taken from shifted slices.
     """
     n, m = T.shape
+    if out is None:
+        out = np.empty((n, m))
     if wx <= 0:
-        return np.zeros_like(T)
-    cs = np.zeros((n + 1, m))
+        out[...] = 0.0
+        return out
+    if scratch is None:
+        scratch = np.empty(n * m + (n + 1) * (m + 1))
+    a = scratch[:n * m].reshape(n, m)
+    cs = scratch[n * m:n * m + (n + 1) * m].reshape(n + 1, m)
+    cs[0] = 0.0
     np.cumsum(T, axis=0, out=cs[1:])
-    hi = np.minimum(np.arange(n) + wx + 1, n)
-    lo = np.maximum(np.arange(n) - wx, 0)
-    a = inv_r * (cs[hi] - cs[lo] - T)  # window sum minus the delta = 0 term
+    # a = inv_r * (cs[hi] - cs[lo] - T), hi = min(i + w + 1, n), lo = max(i - w, 0):
+    # the window sum minus the delta = 0 term. Rows below w have lo = 0,
+    # where cs[0] is zero and subtracting it changes no bit
+    w = min(wx, n - 1)
+    a[:n - w - 1] = cs[w + 1:n]
+    a[n - w - 1:] = cs[n]
+    np.subtract(a[w:], cs[:n - w], out=a[w:])
+    np.subtract(a, T, out=a)
+    np.multiply(a, inv_r, out=a)
     row = np.sum(a, axis=1)
-    cs2 = np.zeros((n, m + 1))
+    cs2 = scratch[n * m:n * m + n * (m + 1)].reshape(n, m + 1)
+    cs2[:, 0] = 0.0
     np.cumsum(a, axis=1, out=cs2[:, 1:])
-    hj = np.minimum(np.arange(m) + wy + 1, m)
-    lj = np.maximum(np.arange(m) - wy, 0)
-    win = cs2[:, hj] - cs2[:, lj]
-    return row[:, None] - win + a
+    # out = row - (cs2[:, hj] - cs2[:, lj]) + a, the same windows along columns
+    v = min(wy, m - 1)
+    out[:, :m - v - 1] = cs2[:, v + 1:m]
+    out[:, m - v - 1:] = cs2[:, m:]
+    np.subtract(out[:, v:], cs2[:, :m - v], out=out[:, v:])
+    np.subtract(row[:, None], out, out=out)
+    np.add(out, a, out=out)
+    return out
 
 
 def cidm_parts(X, pos, keep, sigma, lam):

@@ -58,12 +58,17 @@ def _validate_marginals(G, p, q):
         raise ShapeMismatch("marginals must be strictly positive")
 
 
-def _sinkhorn_core(G, p, q, epsilon, max_iters, tol, f0=None, g0=None):
+def _sinkhorn_core(G, p, q, epsilon, max_iters, tol, f0=None, g0=None,
+                   logs=None, K=None, out=None):
+    """Plan and potentials of one entropic solve.
+
+    logs, when given, is (log p, log q); K and out, when given, are
+    C-contiguous buffers shaped like G for the kernel and for the plan.
+    """
     _validate_marginals(G, p, q)
     if epsilon <= 0:
         raise NumericalOverflow(f"epsilon must be positive, got {epsilon}")
-    logp = np.log(p)
-    logq = np.log(q)
+    logp, logq = (np.log(p), np.log(q)) if logs is None else logs
     f0 = np.zeros_like(p) if f0 is None else np.asarray(f0, dtype=np.float64)
     g0 = np.zeros_like(q) if g0 is None else np.asarray(g0, dtype=np.float64)
     f, g, iters, violation = kernels.sinkhorn_log(
@@ -75,12 +80,18 @@ def _sinkhorn_core(G, p, q, epsilon, max_iters, tol, f0=None, g0=None):
         float(tol),
         f0,
         g0,
+        K,
     )
     if not (np.isfinite(f).all() and np.isfinite(g).all() and np.isfinite(violation)):
         raise NumericalOverflow(
             f"sinkhorn potentials left the representable range (epsilon={epsilon})"
         )
-    t = np.exp((f[:, None] + g[None, :] - G) / epsilon)
+    # t = exp((f + g - G) / epsilon), one operation at a time in one buffer
+    t = np.empty(G.shape) if out is None else out
+    np.add(f[:, None], g[None, :], out=t)
+    np.subtract(t, G, out=t)
+    np.divide(t, epsilon, out=t)
+    np.exp(t, out=t)
     if not np.isfinite(t).all():
         raise NumericalOverflow("transport plan overflowed; epsilon too small for cost scale")
     return t, f, g, iters, float(violation)
@@ -105,28 +116,35 @@ def sinkhorn(G, p, q, epsilon, max_iters: int = _SINKHORN_ITERS,
     )
 
 
-def gw_gradient_fast(band_x, T, band_y) -> np.ndarray:
-    """C_x @ T @ C_y in O(N*M) using prefix sums over the bands."""
+def gw_gradient_fast(band_x, T, band_y, out=None, scratch=None) -> np.ndarray:
+    """C_x @ T @ C_y in O(N*M) using prefix sums over the bands.
+
+    out and scratch, when given, are the buffers of kernels.banded_gw_product.
+    """
     if T.shape != (band_x.size, band_y.size):
         raise ShapeMismatch(
             f"plan {T.shape} does not match bands ({band_x.size}, {band_y.size})"
         )
     return kernels.banded_gw_product(
-        np.ascontiguousarray(T, dtype=np.float64),
+        np.asarray(T, dtype=np.float64),
         int(band_x.radius),
         int(band_y.radius),
         float(band_x.value),
+        out,
+        scratch,
     )
 
 
-def _gw_pad(bundle: CostBundle, T) -> np.ndarray:
-    """Structural product on the real block, zero on the virtual frame."""
+def _gw_pad(bundle: CostBundle, T, out=None, scratch=None) -> np.ndarray:
+    """Structural product on the real block, zero on the virtual frame.
+
+    With out given, only its real block is written: its virtual row and
+    column must already be zero.
+    """
     n, m = bundle.n_real, bundle.m_real
-    prod = gw_gradient_fast(bundle.band_x, T[:n, :m], bundle.band_y)
-    if not bundle.virtual:
-        return prod
-    out = np.zeros_like(T)
-    out[:n, :m] = prod
+    if out is None:
+        out = np.zeros_like(T)
+    gw_gradient_fast(bundle.band_x, T[:n, :m], bundle.band_y, out[:n, :m], scratch)
     return out
 
 
@@ -139,21 +157,27 @@ class ObjectiveParts:
 
 
 def fgwot_objective(bundle: CostBundle, T, alpha: float, epsilon: float,
-                    gw_product=None) -> ObjectiveParts:
+                    gw_product=None, out=None) -> ObjectiveParts:
     """Entropy-regularized fused objective and its three terms.
 
     total = (1 - alpha) <C_tilde, T> + alpha <C_x T C_y, T> - epsilon * H(T)
     with H(T) = -sum T log T. gw_product, when given, is the structural
     product C_x T C_y of this T as solve_fgwot computes it (zero on the
-    virtual frame), so that it is not computed twice.
+    virtual frame), so that it is not computed twice. out, when given, is a
+    C-contiguous scratch buffer shaped like T for the elementwise terms.
     """
     if gw_product is None:
         gw_product = _gw_pad(bundle, T)
-    kot = float(np.sum(bundle.C_tilde * T))
-    gw = float(np.sum(gw_product * T))
+    buf = np.empty(T.shape) if out is None else out
+    kot = float(np.sum(np.multiply(bundle.C_tilde, T, out=buf)))
+    gw = float(np.sum(np.multiply(gw_product, T, out=buf)))
+    # T log T where T > 0 and 0 elsewhere
+    positive = T > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(T > 0, T * np.log(np.where(T > 0, T, 1.0)), 0.0)
-    entropy = float(-np.sum(xlogx))
+        np.multiply(T, np.log(T, out=buf), out=buf)
+    if not positive.all():
+        buf[~positive] = 0.0
+    entropy = float(-np.sum(buf))
     total = (1.0 - alpha) * kot + alpha * gw - epsilon * entropy
     return ObjectiveParts(kot=kot, gw=gw, entropy=entropy, total=total)
 
@@ -174,7 +198,21 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     alpha = hyper.alpha
     eps = hyper.epsilon
     p, q = bundle.p, bundle.q
-    t = np.outer(p, q)
+    logs = np.log(p), np.log(q)
+    n, m = bundle.n_real, bundle.m_real
+    # Every n x m step of an iteration writes into these buffers, with the
+    # operations of the plain expressions in the same order, so the plans
+    # keep every bit. The plan is double-buffered: t is the last plan,
+    # t_new receives the next.
+    shape = bundle.C_tilde.shape
+    t, t_new = np.empty(shape), np.empty(shape)
+    kernel = np.empty(shape)
+    grad = np.empty(shape)
+    product = np.zeros(shape)  # its virtual row and column stay zero
+    scratch = np.empty(shape)
+    banded = np.empty(n * m + (n + 1) * (m + 1)) if bundle.band_x.radius > 0 else None
+    fused = (1.0 - alpha) * bundle.C_tilde
+    np.multiply(p[:, None], q[None, :], out=t)  # the product coupling
     f = g = None
     trace = []
     delta = np.inf
@@ -182,25 +220,28 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     iters = 0
     capped = 0
     worst = 0.0
-    product = _gw_pad(bundle, t)
+    _gw_pad(bundle, t, product, banded)
     for it in range(1, _MAX_OUTER + 1):
-        grad = (1.0 - alpha) * bundle.C_tilde + 2.0 * alpha * product
+        # grad = (1 - alpha) * C_tilde + 2 * alpha * product
+        np.multiply(product, 2.0 * alpha, out=grad)
+        np.add(fused, grad, out=grad)
         t_new, f, g, _, violation = _sinkhorn_core(
-            grad, p, q, eps, _SINKHORN_ITERS, _INNER_TOL, f, g
+            grad, p, q, eps, _SINKHORN_ITERS, _INNER_TOL, f, g, logs, kernel, t_new
         )
         capped += violation > _INNER_TOL
         worst = max(worst, violation)
         # the objective of t_new and the next linearization share its product
-        product = _gw_pad(bundle, t_new)
-        trace.append(fgwot_objective(bundle, t_new, alpha, eps, product).total)
+        _gw_pad(bundle, t_new, product, banded)
+        trace.append(fgwot_objective(bundle, t_new, alpha, eps, product, scratch).total)
         iters = it
         # alpha * C_x T C_y is zero at every T when alpha is 0 or the C_x band
         # is empty, so the linearized cost never changes and t_new is the fixed point
         if alpha == 0.0 or bundle.band_x.radius == 0:
             t, delta, converged = t_new, 0.0, violation <= _INNER_TOL
             break
-        delta = float(np.abs(t_new - t).sum())
-        t = t_new
+        np.subtract(t_new, t, out=scratch)
+        delta = float(np.abs(scratch, out=scratch).sum())
+        t, t_new = t_new, t
         if delta <= _TOL:
             converged = True
             break

@@ -49,10 +49,12 @@ def sample_frames(n_total: int, count: int, rng: np.random.Generator) -> np.ndar
 
 def _param_grads(encoder: Encoder, clip_x, hidden_x, clip_y, hidden_y,
                  report: LossReport) -> dict[str, np.ndarray]:
-    """Backprop the report's embedding gradients through both clips."""
-    grads_x = encoder.backward(clip_x, hidden_x, report.grad_x)
-    grads_y = encoder.backward(clip_y, hidden_y, report.grad_y)
-    return {k: grads_x[k] + grads_y[k] for k in grads_x}
+    """Backprop the report's embedding gradients through both clips, summed
+    in place into the first clip's gradients."""
+    grads = encoder.backward(clip_x, hidden_x, report.grad_x)
+    for name, grad_y in encoder.backward(clip_y, hidden_y, report.grad_y).items():
+        grads[name] += grad_y
+    return grads
 
 
 def loss_and_param_grads(encoder: Encoder, clip_x: np.ndarray, clip_y: np.ndarray,

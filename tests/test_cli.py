@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rgwot import segmentation, training
+from rgwot import segmentation, solver, training
 from rgwot.cli import _HYPER_FLAGS, main
 from rgwot.data_model import Hyperparams, load_labels, load_manifest
 from rgwot.encoder import load_encoder
@@ -279,6 +279,45 @@ class TestSegmentAndEval:
         assert len(couplings) == 4
         lines = capsys.readouterr().out.splitlines()
         assert not any(ln.startswith("inner solves") for ln in lines)
+
+    def test_reports_masked_frames_and_outer_capped_solves(self, task_dir, trained_dir,
+                                                           tmp_path, capsys, monkeypatch):
+        solves = []
+
+        def recorded(bundle, hyper):
+            solves.append((bundle, solve_fgwot(bundle, hyper)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(segmentation, "solve_fgwot", recorded)
+        argv = ["segment", "--manifest", str(task_dir),
+                "--checkpoint", str(trained_dir / "encoder.rgwf"), "--seed", "0"]
+        out = tmp_path / "masked"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(solves) == 4
+        # masked frames are the ones labelled background
+        labels = [load_labels(out / f"{e.video_id}.labels.txt", e.video_id).labels
+                  for e in load_manifest(task_dir).videos]
+        masked = sum(int(np.count_nonzero(seq == -1)) for seq in labels)
+        frames = sum(seq.size for seq in labels)
+        assert 0 < masked < frames
+        at_cap = sum(c.outer_iterations == solver._MAX_OUTER and not c.converged
+                     for _, c in solves)
+        assert at_cap > 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"masked {masked} of {frames} frames, {at_cap} of 4 alignment solves " \
+            "stopped at the outer cap" in lines
+        # below a negative outer tolerance every solve with a structural term
+        # runs to the cap; one without stops after its first pass
+        monkeypatch.setattr(solver, "_TOL", -1.0)
+        assert main(argv + ["--out", str(tmp_path / "no-tol")]) == 0
+        structured = [bundle.band_x.radius > 0 for bundle, _ in solves[4:]]
+        assert 0 < sum(structured) < 4
+        assert [c.outer_iterations for _, c in solves[4:]] \
+            == [solver._MAX_OUTER if s else 1 for s in structured]
+        assert any(ln.endswith(f", {sum(structured)} of 4 alignment solves stopped at the "
+                               "outer cap") for ln in capsys.readouterr().out.splitlines())
+        assert main(argv + ["--out", str(tmp_path / "plain"), "--no-masks"]) == 0
+        assert not any(ln.startswith("masked") for ln in capsys.readouterr().out.splitlines())
 
     def test_reports_frames_relabelled_by_smoothing(self, task_dir, trained_dir, tmp_path,
                                                      capsys, monkeypatch):

@@ -164,6 +164,16 @@ class TestAdam:
                 assert np.array_equal(state.v[k], v[k]), (t, k)
                 assert np.array_equal(grads[k], given[k]), (t, k)
 
+    def test_scratch_buffers_are_made_once(self, rng):
+        enc = Encoder.create(4, embed_dim=3, hidden_dim=5, seed=2)
+        state = AdamState.for_encoder(enc)
+        grads = {k: rng.normal(size=p.shape) for k, p in enc.params().items()}
+        adam_update(enc, state, grads, lr=1e-3, weight_decay=1e-5)
+        made = {k: pair for k, pair in state.scratch.items()}
+        assert sorted(made) == sorted(enc.params())
+        adam_update(enc, state, grads, lr=1e-3, weight_decay=1e-5)
+        assert all(state.scratch[k][i] is made[k][i] for k in made for i in range(2))
+
     def test_step_counter_advances(self):
         enc = Encoder.create(3, embed_dim=2, hidden_dim=4)
         state = AdamState.for_encoder(enc)

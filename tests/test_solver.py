@@ -306,6 +306,55 @@ class TestGwGradientFast:
             gw_gradient_fast(bx, rng.random((7, 6)), by)
 
 
+def _gather_banded(T, wx, wy, inv_r):
+    """banded_gw_product as it was written with index gathers."""
+    n, m = T.shape
+    if wx <= 0:
+        return np.zeros_like(T)
+    cs = np.zeros((n + 1, m))
+    np.cumsum(T, axis=0, out=cs[1:])
+    hi = np.minimum(np.arange(n) + wx + 1, n)
+    lo = np.maximum(np.arange(n) - wx, 0)
+    a = inv_r * (cs[hi] - cs[lo] - T)
+    row = np.sum(a, axis=1)
+    cs2 = np.zeros((n, m + 1))
+    np.cumsum(a, axis=1, out=cs2[:, 1:])
+    hj = np.minimum(np.arange(m) + wy + 1, m)
+    lj = np.maximum(np.arange(m) - wy, 0)
+    win = cs2[:, hj] - cs2[:, lj]
+    return row[:, None] - win + a
+
+
+class TestBandedGwProduct:
+    """The slice windows against the gather version, bit for bit."""
+
+    @pytest.mark.parametrize("n, m, wx, wy", [
+        (12, 14, 3, 2), (14, 12, 12, 3), (14, 12, 40, 12), (9, 11, 2, 11), (9, 11, 2, 50),
+        (10, 10, 9, 9), (13, 9, 4, 0), (1, 7, 1, 2), (8, 1, 3, 1), (1, 1, 1, 0), (5, 6, 0, 2),
+    ])
+    def test_bitwise_equal_to_gathers(self, rng, n, m, wx, wy):
+        t = rng.random((n, m))
+        want = _gather_banded(t, wx, wy, 1.0 / 0.3)
+        assert np.array_equal(kernels.banded_gw_product(t, wx, wy, 1.0 / 0.3), want)
+        out = np.full((n, m), np.nan)
+        scratch = np.full(n * m + (n + 1) * (m + 1), np.nan)  # no entry is read unwritten
+        got = kernels.banded_gw_product(t, wx, wy, 1.0 / 0.3, out, scratch)
+        assert got is out
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("wx, wy", [(3, 4), (0, 4), (30, 40)])
+    def test_real_block_of_a_virtual_plan(self, rng, wx, wy):
+        # plan and product are views of padded arrays, as in solve_fgwot
+        plan = rng.random((21, 26))
+        padded = np.zeros((21, 26))
+        out = padded[:20, :25]
+        got = kernels.banded_gw_product(plan[:20, :25], wx, wy, 4.0, out)
+        assert got is out
+        assert np.array_equal(out, _gather_banded(np.ascontiguousarray(plan[:20, :25]),
+                                                  wx, wy, 4.0))
+        assert not padded[20].any() and not padded[:, 25].any()
+
+
 def _bundle(rng, n=6, m=7, virtual=False, r=0.3, rho=0.35):
     hyper = Hyperparams(use_virtual=virtual, r=r, rho=rho)
     x = rng.normal(size=(n, 4))
@@ -483,6 +532,126 @@ class TestSolveFgwot:
         b = solve_fgwot(bundle, hyper)
         assert np.array_equal(a.T, b.T)
         assert a.objective_trace == b.objective_trace
+
+
+def _reference_solve(bundle, hyper):
+    """solve_fgwot as it was written with a fresh array for every step."""
+
+    def gw_pad(t):
+        n, m = bundle.n_real, bundle.m_real
+        prod = _gather_banded(np.ascontiguousarray(t[:n, :m]), bundle.band_x.radius,
+                              bundle.band_y.radius, bundle.band_x.value)
+        out = np.zeros_like(t)
+        out[:n, :m] = prod
+        return out
+
+    def objective(t, product):
+        kot = float(np.sum(bundle.C_tilde * t))
+        gw = float(np.sum(product * t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xlogx = np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0)
+        entropy = float(-np.sum(xlogx))
+        return (1.0 - alpha) * kot + alpha * gw - eps * entropy
+
+    alpha, eps = hyper.alpha, hyper.epsilon
+    p, q = bundle.p, bundle.q
+    t = np.outer(p, q)
+    f, g = np.zeros_like(p), np.zeros_like(q)
+    trace, delta, converged, iters, capped, worst = [], np.inf, False, 0, 0, 0.0
+    product = gw_pad(t)
+    for it in range(1, solver._MAX_OUTER + 1):
+        grad = (1.0 - alpha) * bundle.C_tilde + 2.0 * alpha * product
+        f, g, _, violation = kernels.sinkhorn_log(grad, np.log(p), np.log(q), eps,
+                                                  solver._SINKHORN_ITERS, solver._INNER_TOL,
+                                                  f, g)
+        violation = float(violation)
+        t_new = np.exp((f[:, None] + g[None, :] - grad) / eps)
+        capped += violation > solver._INNER_TOL
+        worst = max(worst, violation)
+        product = gw_pad(t_new)
+        trace.append(objective(t_new, product))
+        iters = it
+        if alpha == 0.0 or bundle.band_x.radius == 0:
+            t, delta, converged = t_new, 0.0, violation <= solver._INNER_TOL
+            break
+        delta = float(np.abs(t_new - t).sum())
+        t = t_new
+        if delta <= solver._TOL:
+            converged = True
+            break
+    return Coupling(T=t, outer_iterations=iters, converged=converged, final_delta=delta,
+                    objective_trace=tuple(trace), virtual=bundle.virtual,
+                    inner_capped=capped, inner_violation=worst)
+
+
+class TestSolveWorkspace:
+    """solve_fgwot computes every step in one workspace per solve, with the
+    plans, trace and diagnostics of fresh arrays, bit for bit."""
+
+    # r sets the C_x band radius floor(n * r): 0, 1 and at least n
+    @pytest.mark.parametrize("n, m, r", [(10, 10, 0.05), (10, 13, 0.1), (13, 10, 0.1),
+                                         (12, 15, 0.3), (9, 7, 1.0)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("virtual", [False, True])
+    def test_matches_fresh_arrays_bit_for_bit(self, n, m, r, alpha, virtual):
+        rng = np.random.default_rng(n * m)
+        bundle, hyper = _bundle(rng, n=n, m=m, virtual=virtual, r=r)
+        hyper = replace(hyper, alpha=alpha)
+        got = solve_fgwot(bundle, hyper)
+        want = _reference_solve(bundle, hyper)
+        assert np.array_equal(got.T, want.T)
+        assert got.objective_trace == want.objective_trace
+        assert got.final_delta == want.final_delta
+        assert (got.inner_capped, got.inner_violation) == (want.inner_capped, want.inner_violation)
+        assert (got.outer_iterations, got.converged, got.virtual) \
+            == (want.outer_iterations, want.converged, want.virtual)
+
+    def test_capped_solves_and_log_domain_restarts(self, monkeypatch):
+        # at this epsilon the outer loop runs to its cap, the inner solves
+        # stop at the sweep cap, and some restart in the log domain
+        rng = np.random.default_rng(5)
+        bundle, hyper = _bundle(rng, n=60, m=64, virtual=True, r=0.1)
+        hyper = replace(hyper, epsilon=0.003)
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        got = solve_fgwot(bundle, hyper)
+        assert fallbacks
+        assert got.outer_iterations == solver._MAX_OUTER and got.inner_capped > 0
+        want = _reference_solve(bundle, hyper)
+        assert np.array_equal(got.T, want.T)
+        assert got.objective_trace == want.objective_trace
+        assert got.final_delta == want.final_delta
+
+    def test_consecutive_solves_return_their_own_plans(self, rng):
+        bundle, hyper = _bundle(rng, n=12, m=14, virtual=True, r=0.2)
+        first = solve_fgwot(bundle, hyper)
+        kept = first.T.copy()
+        other, _ = _bundle(rng, n=12, m=14, virtual=True, r=0.2)
+        second = solve_fgwot(other, hyper)
+        assert not np.shares_memory(first.T, second.T)
+        assert np.array_equal(first.T, kept)
+        assert np.array_equal(solve_fgwot(bundle, hyper).T, kept)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_kernel_buffer_holds_the_stabilized_kernel(self, rng, warm):
+        G = rng.uniform(0.0, 2.0, (11, 13))
+        logp, logq = np.log(uniform(11)), np.log(uniform(13))
+        f0 = rng.normal(scale=0.1, size=11) if warm else np.zeros(11)
+        g0 = rng.normal(scale=0.1, size=13) if warm else np.zeros(13)
+        K = np.full((11, 13), np.nan)
+        got = kernels.sinkhorn_log(G, logp, logq, 0.07, 200, 1e-9, f0, g0, K)
+        want = kernels.sinkhorn_log(G, logp, logq, 0.07, 200, 1e-9, f0, g0)
+        assert np.array_equal(K, np.exp((f0[:, None] + g0[None, :] - G) / 0.07))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_log_domain_restart_reuses_the_kernel_buffer(self, rng, monkeypatch):
+        G = 1.0 + rng.uniform(0.0, 1.0, (20, 24))
+        p, q = uniform(20), uniform(24)
+        K = np.empty((20, 24))
+        fallbacks = _count_calls(monkeypatch, "_sinkhorn_log_domain")
+        got = kernels.sinkhorn_log(G, np.log(p), np.log(q), 1e-3, 300, 1e-7,
+                                   np.zeros(20), np.zeros(24), K)
+        assert len(fallbacks) == 1 and fallbacks[0][-1] is K
+        _assert_restarted(got, _log_domain(G, p, q, 1e-3, 300, 1e-7, np.zeros(20), np.zeros(24)))
 
 
 class TestCouplingReal:
