@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import Hyperparams, load_labels, load_manifest, load_task, save_labels
+from .data_model import BACKGROUND, Hyperparams, load_labels, load_manifest, load_task, save_labels
 from .encoder import load_encoder, save_encoder
 from .errors import RgwotError
 from .evaluation import evaluate, write_metrics_csv
-from .priors import background_mask, build_cost_bundle
+from .priors import build_cost_bundle
 from .segmentation import segment_task
 from .solver import solve_fgwot
 from .synth import profiles, write_task
@@ -56,6 +56,9 @@ _HYPER_FLAGS = {
                          help="disable the virtual background frame"),
 }
 _SOLVER_FLAGS = "--alpha --epsilon --rho --r --no-virtual"
+# training scores every sampled frame, so train's --zeta only sets the value
+# its sidecar and loss-curve header record; perfbench's fixed train command
+# line passes it
 _TRAINING_FLAGS = "--zeta --xi --tau --sigma --lambda --epochs --lr --sampled-frames"
 
 
@@ -160,12 +163,6 @@ def cmd_train(args) -> int:
     write_loss_csv(history, out / "loss_curve.csv", hyper)
     final = history[-1].total if history else float("nan")
     print(f"trained {hyper.epochs} epochs ({len(history)} steps), final loss {final:.4f}")
-    masked = sum(rep.masked for rep in history)
-    sampled = sum(rep.frames for rep in history)
-    print(f"masked {masked} of {sampled} sampled frames")
-    if sampled and masked == sampled:
-        print(f"warning: all {sampled} sampled frames were masked as background, so "
-              f"training learned nothing; --zeta 0 turns masking off", file=sys.stderr)
     _print_inner_solves(solves)
     print(f"checkpoint: {out / 'encoder.rgwf'}")
     return 0
@@ -221,26 +218,23 @@ def cmd_segment(args) -> int:
     enc = load_encoder(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     solves = []  # (inner solves capped, inner solves, worst inner violation) per mask solve
-    masks = []  # (frames masked, frames, stopped at the outer cap) per mask solve
+    at_cap = []  # per mask solve: stopped at the outer cap
 
     def on_coupling(coupling):
         solves.append((coupling.inner_capped, coupling.outer_iterations,
                        coupling.inner_violation))
-        # the mask of the solve's first video, as compute_segment_masks takes it
-        mask, _ = background_mask(coupling, hyper.zeta)
         # the plan still moved when the outer loop ran out; a structure-free
         # solve stops after its first pass with final_delta 0
-        at_cap = not coupling.converged and coupling.final_delta > 0
-        masks.append((int(np.count_nonzero(mask)), mask.size, at_cap))
+        at_cap.append(not coupling.converged and coupling.final_delta > 0)
 
     result = segment_task(videos, enc, hyper.k, args.beta, hyper, rng,
                           use_masks=not args.no_masks, on_coupling=on_coupling)
+    frames = sum(seq.labels.size for seq in result.labels)
     if solves:
         _print_inner_solves(solves)
-        print(f"masked {sum(m for m, _, _ in masks)} of {sum(n for _, n, _ in masks)} frames, "
-              f"{sum(c for _, _, c in masks)} of {len(masks)} alignment solves "
-              f"stopped at the outer cap")
-    frames = sum(seq.labels.size for seq in result.labels)
+        masked = sum(int(np.count_nonzero(seq.labels == BACKGROUND)) for seq in result.labels)
+        print(f"masked {masked} of {frames} frames, {sum(at_cap)} of {len(at_cap)} "
+              f"alignment solves stopped at the outer cap")
     print(f"smoothing relabelled {sum(result.relabelled)} of {frames} frames")
     rows = []
     for seq in result.labels:

@@ -74,16 +74,15 @@ class LossReport:
     total: float
     grad_x: np.ndarray
     grad_y: np.ndarray
-    masked: int  # frames of X and Y the masks dropped
-    frames: int  # frames of X and Y scored, masked ones included
 
 
 def total_loss(X, Y, t_star, masks, hyper, positions_x=None, positions_y=None) -> LossReport:
     """align + xi * (reg(X) + reg(Y)) with gradients w.r.t. both embeddings.
 
     t_star is the solved plan over real frames (pass `coupling.real`) and is
-    treated as a constant (no gradient flows through the solver). The report
-    also counts how many of the frames of X and Y the masks dropped.
+    treated as a constant (no gradient flows through the solver). masks, a
+    (mask_x, mask_y) pair or None, drops the flagged frames from both terms;
+    training passes None and scores every frame.
     """
     x = np.asarray(X, dtype=np.float64)
     y = np.asarray(Y, dtype=np.float64)
@@ -105,6 +104,4 @@ def total_loss(X, Y, t_star, masks, hyper, positions_x=None, positions_y=None) -
         total=align + hyper.xi * (reg_x + reg_y),
         grad_x=grad_x,
         grad_y=grad_y,
-        masked=0 if masks is None else int(np.count_nonzero(mask_x) + np.count_nonzero(mask_y)),
-        frames=x.shape[0] + y.shape[0],
     )

@@ -1,8 +1,8 @@
 """Pairwise self-supervised training loop.
 
 A step is one pass over a pair of videos: sample a clip from each, encode
-each clip once, solve the fused transport problem between the clips and
-flag background frames, score the alignment + regularizer loss against the
+each clip once, solve the fused transport problem between the clips, score
+the alignment + regularizer loss of every sampled frame against the
 real-frame block of the solved plan (held constant), then backpropagate
 through the cached activations and take one Adam step. Training is
 single-threaded and fully determined by the passed Generator.
@@ -18,7 +18,7 @@ from .data_model import FrameFeatures, Hyperparams
 from .encoder import AdamState, Encoder, adam_update
 from .errors import DimMismatch, InsufficientFrames
 from .losses import LossReport, total_loss
-from .priors import background_mask, build_cost_bundle
+from .priors import build_cost_bundle
 from .solver import Coupling, solve_fgwot
 
 # L2 weight decay of every Adam step
@@ -27,15 +27,13 @@ _WEIGHT_DECAY = 1e-5
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What the history keeps of a step's LossReport: its scalars and mask
-    counts, without the embedding gradients the Adam step used up."""
+    """What the history keeps of a step's LossReport: its scalars, without
+    the embedding gradients the Adam step used up."""
 
     align: float
     reg_x: float
     reg_y: float
     total: float
-    masked: int
-    frames: int
 
 
 def sample_frames(n_total: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -81,8 +79,7 @@ def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
     ex, hx = encoder.forward(clip_x)
     ey, hy = encoder.forward(clip_y)
     coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
-    masks = background_mask(coupling, hyper.zeta)
-    report = total_loss(ex, ey, coupling.real, masks, hyper,
+    report = total_loss(ex, ey, coupling.real, None, hyper,
                         idx_x.astype(np.float64), idx_y.astype(np.float64))
     grads = _param_grads(encoder, clip_x, hx, clip_y, hy, report)
     adam_update(encoder, adam, grads, hyper.learning_rate, _WEIGHT_DECAY)
@@ -112,7 +109,7 @@ def train(videos: list[FrameFeatures], hyper: Hyperparams, rng: np.random.Genera
             if on_target is not None:
                 on_target(coupling)
             history.append(StepRecord(report.align, report.reg_x, report.reg_y,
-                                      report.total, report.masked, report.frames))
+                                      report.total))
     return encoder, history
 
 

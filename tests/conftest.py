@@ -37,9 +37,8 @@ def rng():
 def desk_hyper():
     """Cheap dims for tests that run the training loop.
 
-    zeta is zero because a freshly seeded encoder produces near-uniform
-    couplings whose per-frame match probabilities all sit below any useful
-    threshold; masked training would see zero loss and zero gradients.
+    zeta keeps its default: training scores every sampled frame whatever
+    zeta is (zeta is segment's mask threshold).
     """
     return Hyperparams(
         sampled_frames=12,
@@ -48,7 +47,6 @@ def desk_hyper():
         sigma=8.0,
         embed_dim=6,
         hidden_dim=10,
-        zeta=0.0,
     )
 
 

@@ -13,7 +13,7 @@ from rgwot.encoder import (
     save_encoder,
 )
 from rgwot.errors import DimMismatch, InsufficientFrames, MalformedHeader, ZeroNormRow
-from rgwot.priors import background_mask, build_cost_bundle, visual_cost
+from rgwot.priors import build_cost_bundle, visual_cost
 from rgwot.solver import solve_fgwot
 from rgwot.training import (
     _WEIGHT_DECAY,
@@ -250,13 +250,14 @@ class TestSampleFrames:
 
 
 def step_target(enc, feats_x, feats_y, hyper, rng):
-    """Clip indices, solved coupling and masks of one step, built as train_step does."""
+    """Clip indices, solved coupling and masks (None: every frame is scored)
+    of one step, built as train_step does."""
     idx_x = sample_frames(feats_x.n_frames, hyper.sampled_frames, rng)
     idx_y = sample_frames(feats_y.n_frames, hyper.sampled_frames, rng)
     ex, _ = enc.forward(feats_x.data[idx_x])
     ey, _ = enc.forward(feats_y.data[idx_y])
     coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
-    return idx_x, idx_y, coupling, background_mask(coupling, hyper.zeta)
+    return idx_x, idx_y, coupling, None
 
 
 class TestTrainingLoop:
@@ -270,7 +271,7 @@ class TestTrainingLoop:
         assert len(idx_x) == len(idx_y) == desk_hyper.sampled_frames
         assert (np.diff(idx_x) > 0).all()
         assert coupling.T.shape == (13, 13)  # sampled 12 plus the virtual bin
-        assert masks[0].shape == (12,) and masks[1].shape == (12,)
+        assert masks is None
 
     @pytest.mark.parametrize("seed", range(3))
     def test_frozen_target_descent(self, seed, desk_hyper):
@@ -328,8 +329,26 @@ class TestTrainingLoop:
         assert adam.step == 1
         assert coupling.T.shape == (13, 13)  # sampled 12 plus the virtual bin
         assert np.isfinite(report.total)
-        assert (report.masked, report.frames) == (0, 24)
         assert any(not np.array_equal(v, before[k]) for k, v in enc.params().items())
+
+    def test_train_step_does_not_depend_on_zeta(self, desk_hyper):
+        # zeta is segment's mask threshold; a training step scores every
+        # sampled frame, so at zeta=1, where every frame of an entropic plan
+        # falls below the threshold, the step is the same bit for bit
+        videos = toy_videos(np.random.default_rng(2))
+        base = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
+                              desk_hyper.hidden_dim, seed=4)
+        runs = []
+        for zeta in (0.0, 1.0):
+            enc = base.copy()
+            adam = AdamState.for_encoder(enc)
+            report, _ = train_step(enc, adam, videos[0], videos[1],
+                                   replace(desk_hyper, zeta=zeta), np.random.default_rng(9))
+            runs.append((enc.params(), (report.align, report.reg_x, report.reg_y, report.total)))
+        (params_0, scalars_0), (params_1, scalars_1) = runs
+        assert scalars_0 == scalars_1
+        for name in params_0:
+            assert np.array_equal(params_0[name], params_1[name]), name
 
     def test_train_step_encodes_each_clip_once(self, rng, desk_hyper, monkeypatch):
         videos = toy_videos(rng)

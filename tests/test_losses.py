@@ -229,15 +229,6 @@ class TestTotalLoss:
         report = total_loss(x, y, t, masks, hyper)
         assert np.array_equal(report.grad_x[0], np.zeros(4))
 
-    def test_counts_masked_frames(self, rng):
-        x, y, t, _ = self._inputs(rng)
-        masks = (np.array([True, False, True, False, False, False]),
-                 np.array([False, False, False, False, True]))
-        report = total_loss(x, y, t, masks, Hyperparams(sigma=2.0))
-        assert (report.masked, report.frames) == (3, 11)
-        unmasked = total_loss(x, y, t, None, Hyperparams(sigma=2.0))
-        assert (unmasked.masked, unmasked.frames) == (0, 11)
-
     def test_gradients_finite(self, rng):
         x, y, t, masks = self._inputs(rng)
         report = total_loss(x, y, t, masks, Hyperparams(sigma=2.0))
