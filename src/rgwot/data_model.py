@@ -17,6 +17,7 @@ All value types here are frozen; treat the wrapped arrays as read-only.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -327,3 +328,7 @@ class Hyperparams:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+        for name in ("learning_rate", "sigma", "lam", "xi", "epsilon", "rho", "tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")

@@ -42,10 +42,6 @@ class InvalidRadius(RgwotError):
     """Band ratio r outside (0, 1]."""
 
 
-class AlreadyAugmented(RgwotError):
-    """Virtual frame added twice to the same cost bundle."""
-
-
 class NumericalOverflow(RgwotError):
     """Sinkhorn scaling left the representable range (epsilon too small)."""
 

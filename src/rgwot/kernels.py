@@ -231,12 +231,12 @@ def banded_gw_product(T, wx, wy, inv_r, out=None, scratch=None):
     return out
 
 
-def cidm_parts(X, pos, keep, sigma, lam):
+def cidm_parts(X, pos, sigma, lam):
     """Loss and gradient of the intra-video temporal regularizer.
 
-    Ordered pairs (i, j), i != j, both kept: neighbours (|pos_i - pos_j| <=
-    sigma) pay d/w, others pay w * max(0, lam - d), with w = (pos_i-pos_j)^2+1
-    and d the euclidean embedding distance.
+    Every ordered pair (i, j), i != j: neighbours (|pos_i - pos_j| <= sigma)
+    pay d/w, others pay w * max(0, lam - d), with w = (pos_i-pos_j)^2+1 and d
+    the euclidean embedding distance.
     """
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
@@ -246,8 +246,7 @@ def cidm_parts(X, pos, keep, sigma, lam):
     delta = pos[:, None] - pos[None, :]
     w = delta * delta + 1.0
     near = np.abs(delta) <= sigma
-    pair = np.outer(keep, keep)
-    np.fill_diagonal(pair, False)
+    pair = ~np.eye(n, dtype=bool)
     attract = pair & near
     repel = pair & ~near
     hinge = np.maximum(0.0, lam - d)

@@ -4,8 +4,9 @@ The alignment loss is a cross entropy between the solved coupling (treated
 as a constant target) and the row softmax of embedding similarities. The
 temporal regularizer pulls time-adjacent frames of a video together and
 pushes the rest at least `lam` apart; it is what keeps the embedding from
-collapsing. Gradients are exact and checked against finite differences in
-the tests.
+collapsing. Both terms score every frame: background is decided once, by
+`segment`'s mask, and never in the losses. Gradients are exact and checked
+against finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 
 
 def softmax_sim(X, Y, tau: float) -> np.ndarray:
@@ -27,42 +28,35 @@ def softmax_sim(X, Y, tau: float) -> np.ndarray:
     return z
 
 
-def align_loss(P, t_star, masks=None) -> tuple[float, np.ndarray]:
+def align_loss(P, t_star) -> tuple[float, np.ndarray]:
     """Cross entropy -sum T*_ij log P_ij and its gradient w.r.t. the logits.
 
     T* is a plan over real frames only, of P's shape (pass `coupling.real`,
-    not a plan that still carries the virtual row and column). Masked frames
-    are removed from the double sum; P stays a softmax over all real columns.
+    not a plan that still carries the virtual row and column).
     """
     if np.shape(t_star) != P.shape:
         raise ShapeMismatch(f"target plan {np.shape(t_star)} does not fit similarities {P.shape}")
-    w = np.array(t_star, dtype=np.float64)
-    if masks is not None:
-        mask_x, mask_y = masks
-        w[np.asarray(mask_x, dtype=bool), :] = 0.0
-        w[:, np.asarray(mask_y, dtype=bool)] = 0.0
+    w = np.asarray(t_star, dtype=np.float64)
     logp = np.where(w > 0, np.log(np.maximum(P, np.finfo(np.float64).tiny)), 0.0)
     loss = float(-np.sum(w * logp))
     grad_logits = w.sum(axis=1, keepdims=True) * P - w
     return loss, grad_logits
 
 
-def cidm_loss(X, sigma: float, lam: float, positions=None, keep=None) -> tuple[float, np.ndarray]:
+def cidm_loss(X, sigma: float, lam: float, positions=None) -> tuple[float, np.ndarray]:
     """Temporal contrastive regularizer over ordered frame pairs.
 
     Pairs closer than sigma (in `positions` units, default 0..N-1) pay
     d/w(i,j); the rest pay w(i,j) * max(0, lam - d), with w = (pos_i-pos_j)^2
-    + 1 and d the euclidean distance of the embedding rows. Frames with
-    keep=False are dropped from the pair set. Returns the loss and its
-    gradient w.r.t. X.
+    + 1 and d the euclidean distance of the embedding rows. Returns the loss
+    and its gradient w.r.t. X.
     """
     x = np.ascontiguousarray(X, dtype=np.float64)
     n = x.shape[0]
     pos = np.arange(n, dtype=np.float64) if positions is None else np.asarray(positions, dtype=np.float64)
     if pos.shape != (n,):
         raise ShapeMismatch(f"positions {pos.shape} do not fit embeddings {x.shape}")
-    kept = np.ones(n, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
-    loss, grad = kernels.cidm_parts(x, pos, kept, float(sigma), float(lam))
+    loss, grad = kernels.cidm_parts(x, pos, float(sigma), float(lam))
     return float(loss), grad
 
 
@@ -80,21 +74,19 @@ def total_loss(X, Y, t_star, masks, hyper, positions_x=None, positions_y=None) -
     """align + xi * (reg(X) + reg(Y)) with gradients w.r.t. both embeddings.
 
     t_star is the solved plan over real frames (pass `coupling.real`) and is
-    treated as a constant (no gradient flows through the solver). masks, a
-    (mask_x, mask_y) pair or None, drops the flagged frames from both terms;
-    training passes None and scores every frame.
+    treated as a constant (no gradient flows through the solver). masks must
+    be None: every frame is scored.
     """
+    if masks is not None:
+        raise ConfigError("total_loss scores every frame; pass masks=None")
     x = np.asarray(X, dtype=np.float64)
     y = np.asarray(Y, dtype=np.float64)
-    mask_x, mask_y = masks if masks is not None else (None, None)
     p = softmax_sim(x, y, hyper.tau)
-    align, grad_logits = align_loss(p, t_star, masks)
+    align, grad_logits = align_loss(p, t_star)
     grad_x = grad_logits @ y / hyper.tau
     grad_y = grad_logits.T @ x / hyper.tau
-    keep_x = None if mask_x is None else ~np.asarray(mask_x, dtype=bool)
-    keep_y = None if mask_y is None else ~np.asarray(mask_y, dtype=bool)
-    reg_x, greg_x = cidm_loss(x, hyper.sigma, hyper.lam, positions_x, keep_x)
-    reg_y, greg_y = cidm_loss(y, hyper.sigma, hyper.lam, positions_y, keep_y)
+    reg_x, greg_x = cidm_loss(x, hyper.sigma, hyper.lam, positions_x)
+    reg_y, greg_y = cidm_loss(y, hyper.sigma, hyper.lam, positions_y)
     grad_x += hyper.xi * greg_x
     grad_y += hyper.xi * greg_y
     return LossReport(

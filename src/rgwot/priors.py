@@ -1,5 +1,6 @@
-"""Cost construction: visual cost, temporal prior, banded structural priors,
-virtual-frame augmentation and background masking.
+"""Cost construction: visual cost, temporal prior, banded structural priors
+and the virtual frame, all assembled by `build_cost_bundle`; and the
+background mask that `segment` applies.
 
 The structural costs are never materialized for large inputs; they are kept
 as band parameters and consumed by the banded kernel. `BandSpec.dense()`
@@ -8,11 +9,11 @@ exists for small instances and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlreadyAugmented, InvalidRadius, ShapeMismatch, ZeroNormRow
+from .errors import InvalidRadius, ShapeMismatch, ZeroNormRow
 
 _BAND_EPS = 1e-9  # guards floor(n * r) against cases like 50 * 0.02 -> 0.9999...
 
@@ -84,7 +85,7 @@ class CostBundle:
     """Everything the solver needs for one video pair.
 
     C_tilde = C + rho * R is the fused cost (visual cost C, temporal prior
-    R) over real frames plus (after augmentation) one virtual row and column.
+    R) over real frames plus, when `virtual`, one virtual row and column.
     Band specs cover real frames only; the virtual frame carries no
     structural cost.
     """
@@ -94,7 +95,7 @@ class CostBundle:
     band_y: BandSpec
     p: np.ndarray
     q: np.ndarray
-    virtual: bool = False
+    virtual: bool
 
     @property
     def n_real(self) -> int:
@@ -106,41 +107,26 @@ class CostBundle:
 
 
 def build_cost_bundle(X, Y, hyper) -> CostBundle:
-    """Assemble the fused cost for a pair of embedding matrices."""
+    """Assemble the fused cost for a pair of embedding matrices.
+
+    With hyper.use_virtual, one virtual frame per side is a background sink:
+    its row and column of C_tilde hold the mean of the real entries. The
+    marginals are uniform over all frames, virtual ones included.
+    """
     c = visual_cost(X, Y)
     n, m = c.shape
     band_x, band_y = structural_priors(n, m, hyper.r)
-    bundle = CostBundle(
-        C_tilde=c + hyper.rho * temporal_prior(n, m),
-        band_x=band_x,
-        band_y=band_y,
-        p=np.full(n, 1.0 / n),
-        q=np.full(m, 1.0 / m),
-    )
+    c_tilde = c + hyper.rho * temporal_prior(n, m)
     if hyper.use_virtual:
-        bundle = augment_virtual(bundle)
-    return bundle
-
-
-def augment_virtual(bundle: CostBundle) -> CostBundle:
-    """Append one virtual frame per side as a background sink.
-
-    The virtual row/column of C_tilde is the mean of the real entries.
-    Marginals become uniform over N+1 (respectively M+1) frames.
-    """
-    if bundle.virtual:
-        raise AlreadyAugmented("cost bundle already has a virtual frame")
-    n, m = bundle.C_tilde.shape
-    fill = float(bundle.C_tilde.mean())
-    ct = np.full((n + 1, m + 1), fill)
-    ct[:n, :m] = bundle.C_tilde
-    return replace(
-        bundle,
-        C_tilde=ct,
-        p=np.full(n + 1, 1.0 / (n + 1)),
-        q=np.full(m + 1, 1.0 / (m + 1)),
-        virtual=True,
-    )
+        # the mean of the contiguous real block: over a strided view of the
+        # augmented matrix it can round differently
+        augmented = np.full((n + 1, m + 1), float(c_tilde.mean()))
+        augmented[:n, :m] = c_tilde
+        c_tilde = augmented
+    rows, cols = c_tilde.shape
+    return CostBundle(C_tilde=c_tilde, band_x=band_x, band_y=band_y,
+                      p=np.full(rows, 1.0 / rows), q=np.full(cols, 1.0 / cols),
+                      virtual=hyper.use_virtual)
 
 
 def background_mask(coupling, zeta: float) -> tuple[np.ndarray, np.ndarray]:

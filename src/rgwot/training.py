@@ -58,7 +58,7 @@ def _param_grads(encoder: Encoder, clip_x, hidden_x, clip_y, hidden_y,
 def loss_and_param_grads(encoder: Encoder, clip_x: np.ndarray, clip_y: np.ndarray,
                          t_star: np.ndarray, masks, hyper: Hyperparams,
                          positions_x=None, positions_y=None):
-    """Loss report and parameter gradients for a fixed real-frame plan and masks."""
+    """Loss report and parameter gradients for a fixed real-frame plan (masks must be None)."""
     ex, hx = encoder.forward(clip_x)
     ey, hy = encoder.forward(clip_y)
     report = total_loss(ex, ey, t_star, masks, hyper, positions_x, positions_y)

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in-process through main()."""
 
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -160,6 +161,17 @@ class TestTrain:
                    "--out", str(tmp_path / "out"), "--zeta", "1.5"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_infinite_learning_rate_errors_without_a_warning(self, task_dir, tmp_path,
+                                                             capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--manifest", str(task_dir),
+                       "--out", str(tmp_path / "out"), "--lr", "inf"] + TRAIN_FLAGS)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "learning_rate" in err
+        assert "Warning" not in err
 
     def test_negative_beta_errors(self, task_dir, trained_dir, tmp_path, capsys):
         rc = main(["segment", "--manifest", str(task_dir),

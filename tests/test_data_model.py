@@ -263,9 +263,12 @@ class TestHyperparams:
         {"zeta": -0.2}, {"zeta": 1.5}, {"rho": -1.0}, {"tau": 0.0}, {"epochs": -1},
         {"k": 0}, {"sampled_frames": 1}, {"learning_rate": 0.0}, {"xi": -1.0},
         {"hidden_dim": 0}, {"lam": -1.0}, {"sigma": -1.0},
+        {"learning_rate": float("inf")}, {"sigma": float("inf")}, {"lam": float("inf")},
+        {"xi": float("inf")}, {"epsilon": float("inf")}, {"rho": float("inf")},
+        {"tau": float("inf")},
     ])
     def test_invalid_values(self, bad):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
             Hyperparams(**bad)
 
     def test_updated_returns_new_validated_copy(self):

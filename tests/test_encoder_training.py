@@ -12,7 +12,7 @@ from rgwot.encoder import (
     load_encoder,
     save_encoder,
 )
-from rgwot.errors import DimMismatch, InsufficientFrames, MalformedHeader, ZeroNormRow
+from rgwot.errors import ConfigError, DimMismatch, InsufficientFrames, MalformedHeader, ZeroNormRow
 from rgwot.priors import build_cost_bundle, visual_cost
 from rgwot.solver import solve_fgwot
 from rgwot.training import (
@@ -250,14 +250,13 @@ class TestSampleFrames:
 
 
 def step_target(enc, feats_x, feats_y, hyper, rng):
-    """Clip indices, solved coupling and masks (None: every frame is scored)
-    of one step, built as train_step does."""
+    """Clip indices and solved coupling of one step, built as train_step does."""
     idx_x = sample_frames(feats_x.n_frames, hyper.sampled_frames, rng)
     idx_y = sample_frames(feats_y.n_frames, hyper.sampled_frames, rng)
     ex, _ = enc.forward(feats_x.data[idx_x])
     ey, _ = enc.forward(feats_y.data[idx_y])
     coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
-    return idx_x, idx_y, coupling, None
+    return idx_x, idx_y, coupling
 
 
 class TestTrainingLoop:
@@ -265,13 +264,12 @@ class TestTrainingLoop:
         videos = toy_videos(rng)
         enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
                              desk_hyper.hidden_dim)
-        idx_x, idx_y, coupling, masks = step_target(
+        idx_x, idx_y, coupling = step_target(
             enc, videos[0], videos[1], desk_hyper, rng
         )
         assert len(idx_x) == len(idx_y) == desk_hyper.sampled_frames
         assert (np.diff(idx_x) > 0).all()
         assert coupling.T.shape == (13, 13)  # sampled 12 plus the virtual bin
-        assert masks is None
 
     @pytest.mark.parametrize("seed", range(3))
     def test_frozen_target_descent(self, seed, desk_hyper):
@@ -279,7 +277,7 @@ class TestTrainingLoop:
         videos = toy_videos(rng)
         enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
                              desk_hyper.hidden_dim, seed=seed)
-        idx_x, idx_y, coupling, masks = step_target(
+        idx_x, idx_y, coupling = step_target(
             enc, videos[0], videos[1], desk_hyper, rng
         )
         clip_x, clip_y = videos[0].data[idx_x], videos[1].data[idx_y]
@@ -287,7 +285,7 @@ class TestTrainingLoop:
         totals = []
         for _ in range(30):
             report, grads = loss_and_param_grads(
-                enc, clip_x, clip_y, coupling.real, masks, desk_hyper,
+                enc, clip_x, clip_y, coupling.real, None, desk_hyper,
                 idx_x.astype(np.float64), idx_y.astype(np.float64),
             )
             totals.append(report.total)
@@ -301,23 +299,34 @@ class TestTrainingLoop:
         hyper = replace(desk_hyper, sampled_frames=6, embed_dim=3, hidden_dim=5,
                         sigma=2.0, tau=0.2, xi=0.5)
         enc = Encoder.create(4, embed_dim=3, hidden_dim=5, seed=1)
-        idx_x, idx_y, coupling, masks = step_target(
+        idx_x, idx_y, coupling = step_target(
             enc, videos[0], videos[1], hyper, rng
         )
         clip_x, clip_y = videos[0].data[idx_x], videos[1].data[idx_y]
         px, py = idx_x.astype(np.float64), idx_y.astype(np.float64)
 
-        _, got = loss_and_param_grads(enc, clip_x, clip_y, coupling.real, masks,
+        _, got = loss_and_param_grads(enc, clip_x, clip_y, coupling.real, None,
                                       hyper, px, py)
 
         def loss_of(e):
             ex, _ = e.forward(clip_x)
             ey, _ = e.forward(clip_y)
-            return total_loss(ex, ey, coupling.real, masks, hyper, px, py).total
+            return total_loss(ex, ey, coupling.real, None, hyper, px, py).total
 
         want = fd_param_grads(loss_of, enc.copy())
         for name in got:
             assert rel_err(got[name], want[name]) < 1e-4, name
+
+    def test_masks_are_rejected(self, rng, desk_hyper):
+        videos = toy_videos(rng)
+        enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
+                             desk_hyper.hidden_dim)
+        idx_x, idx_y, coupling = step_target(enc, videos[0], videos[1], desk_hyper, rng)
+        n, m = coupling.real.shape
+        masks = (np.zeros(n, dtype=bool), np.zeros(m, dtype=bool))
+        with pytest.raises(ConfigError):
+            loss_and_param_grads(enc, videos[0].data[idx_x], videos[1].data[idx_y],
+                                 coupling.real, masks, desk_hyper)
 
     def test_train_step_updates_and_logs(self, rng, desk_hyper):
         videos = toy_videos(rng)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from rgwot import kernels
 from rgwot.data_model import Hyperparams
-from rgwot.errors import ShapeMismatch
+from rgwot.errors import ConfigError, ShapeMismatch
 from rgwot.losses import align_loss, cidm_loss, softmax_sim, total_loss
 
 from conftest import rel_err
@@ -70,20 +71,6 @@ class TestAlignLoss:
             with pytest.raises(ShapeMismatch):
                 align_loss(p, np.zeros(shape))
 
-    def test_masked_frames_drop_out(self, rng):
-        x = rng.normal(size=(5, 3))
-        y = rng.normal(size=(6, 3))
-        p = softmax_sim(x, y, 0.1)
-        t = rng.random((5, 6))
-        mask_x = np.array([False, True, False, False, False])
-        mask_y = np.zeros(6, dtype=bool)
-        loss, grad = align_loss(p, t, (mask_x, mask_y))
-        t_manual = t.copy()
-        t_manual[1, :] = 0.0
-        loss_manual, _ = align_loss(p, t_manual)
-        assert loss == pytest.approx(loss_manual, rel=1e-12)
-        assert np.array_equal(grad[1], np.zeros(6))  # no pull on a masked frame
-
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -108,6 +95,36 @@ class TestAlignLoss:
         x2 = x - 1e-3 * (grad_logits @ y / tau)
         loss1, _ = align_loss(softmax_sim(x2, y, tau), t)
         assert loss1 < loss0
+
+
+def _cidm_all_pairs(X, pos, sigma, lam):
+    """The regularizer as written when it took a per-frame keep mask, with
+    every frame kept: the pair set is np.outer(keep, keep) without its
+    diagonal."""
+    n = X.shape[0]
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    d = np.sqrt(d2)
+    delta = pos[:, None] - pos[None, :]
+    w = delta * delta + 1.0
+    near = np.abs(delta) <= sigma
+    keep = np.ones(n, dtype=bool)
+    pair = np.outer(keep, keep)
+    np.fill_diagonal(pair, False)
+    attract = pair & near
+    repel = pair & ~near
+    hinge = np.maximum(0.0, lam - d)
+    loss = np.sum(d[attract] / w[attract]) + np.sum(w[repel] * hinge[repel])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_d = np.where(d > 0.0, 1.0 / d, 0.0)
+    coef = np.zeros_like(d)
+    coef[attract] = inv_d[attract] / w[attract]
+    active = repel & (d < lam) & (d > 0.0)
+    coef[active] -= w[active] * inv_d[active]
+    coef *= 2.0
+    grad = coef.sum(axis=1)[:, None] * X - coef @ X
+    return float(loss), grad
 
 
 class TestCidmLoss:
@@ -174,13 +191,17 @@ class TestCidmLoss:
         assert near == pytest.approx(expect_near, rel=1e-12)
         assert far != pytest.approx(near)
 
-    def test_keep_mask_removes_pairs(self, rng):
-        x = rng.normal(size=(5, 3))
-        keep = np.array([True, True, False, True, True])
-        loss_masked, grad_masked = cidm_loss(x, 1.0, 2.0, keep=keep)
-        sub = cidm_loss(x[keep], 1.0, 2.0, positions=np.flatnonzero(keep).astype(float))
-        assert loss_masked == pytest.approx(sub[0], rel=1e-12)
-        assert np.array_equal(grad_masked[2], np.zeros(3))
+    @pytest.mark.parametrize("n", [2, 5, 17, 33])
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, 3.0, 1e9])
+    def test_kernel_matches_the_all_frames_expression_bitwise(self, n, sigma):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 4))
+        x[0] = x[1] = [1.0, 2.0, 0.5, -1.0]  # coincident rows, d = 0 exactly
+        pos = np.sort(rng.choice(4 * n, size=n, replace=False)).astype(np.float64)
+        loss, grad = kernels.cidm_parts(x, pos, sigma, 2.0)
+        want_loss, want_grad = _cidm_all_pairs(x, pos, sigma, 2.0)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
 
     def test_bad_positions_shape(self, rng):
         with pytest.raises(ShapeMismatch):
@@ -193,8 +214,7 @@ class TestTotalLoss:
         y = rng.normal(size=(m, d))
         t = rng.random((n, m))
         t /= t.sum()
-        masks = (np.zeros(n, dtype=bool), np.zeros(m, dtype=bool))
-        return x, y, t, masks
+        return x, y, t, None
 
     def test_xi_zero_reduces_to_align(self, rng):
         x, y, t, masks = self._inputs(rng)
@@ -221,15 +241,16 @@ class TestTotalLoss:
         assert rel_err(report.grad_x, fd_x) < 1e-4
         assert rel_err(report.grad_y, fd_y) < 1e-4
 
-    def test_masked_rows_have_no_alignment_gradient(self, rng):
-        x, y, t, _ = self._inputs(rng)
-        masks = (np.array([True, False, False, False, False, False]),
-                 np.zeros(5, dtype=bool))
-        hyper = Hyperparams(xi=0.0, sigma=2.0)
-        report = total_loss(x, y, t, masks, hyper)
-        assert np.array_equal(report.grad_x[0], np.zeros(4))
-
     def test_gradients_finite(self, rng):
         x, y, t, masks = self._inputs(rng)
         report = total_loss(x, y, t, masks, Hyperparams(sigma=2.0))
         assert np.isfinite(report.grad_x).all() and np.isfinite(report.grad_y).all()
+
+    @pytest.mark.parametrize("masks", [
+        (np.zeros(6, dtype=bool), np.zeros(5, dtype=bool)),
+        (np.array([True, False, False, False, False, False]), np.zeros(5, dtype=bool)),
+    ])
+    def test_masks_are_rejected(self, rng, masks):
+        x, y, t, _ = self._inputs(rng)
+        with pytest.raises(ConfigError):
+            total_loss(x, y, t, masks, Hyperparams(sigma=2.0))

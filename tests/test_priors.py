@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgwot.data_model import Hyperparams
-from rgwot.errors import AlreadyAugmented, InvalidRadius, ShapeMismatch, ZeroNormRow
+from rgwot.errors import InvalidRadius, ShapeMismatch, ZeroNormRow
 from rgwot.priors import (
-    augment_virtual,
     background_mask,
     build_cost_bundle,
     structural_priors,
@@ -160,43 +159,34 @@ class TestCostBundle:
 
 
 class TestAugmentVirtual:
-    def _bundle(self, rng, n=4, m=5):
-        return build_cost_bundle(
-            rng.normal(size=(n, 3)), rng.normal(size=(m, 3)),
-            Hyperparams(use_virtual=False),
-        )
+    """The virtual frame build_cost_bundle appends under use_virtual."""
+
+    def _pair(self, rng, n=4, m=5):
+        x, y = rng.normal(size=(n, 3)), rng.normal(size=(m, 3))
+        raw = build_cost_bundle(x, y, Hyperparams(use_virtual=False))
+        return raw, build_cost_bundle(x, y, Hyperparams(use_virtual=True))
 
     def test_shapes_and_marginals(self, rng):
-        b = augment_virtual(self._bundle(rng, 2, 2))
-        assert b.C_tilde.shape == (3, 3)
-        assert b.p.shape == (3,) and b.q.shape == (3,)
-        assert b.p.sum() == pytest.approx(1.0) and b.q.sum() == pytest.approx(1.0)
-        assert b.p[-1] == pytest.approx(1.0 / 3.0)
+        raw, b = self._pair(rng, 2, 3)
+        assert raw.C_tilde.shape == (2, 3) and not raw.virtual
+        assert b.C_tilde.shape == (3, 4) and b.virtual
+        assert np.array_equal(b.p, np.full(3, 1.0 / 3.0))
+        assert np.array_equal(b.q, np.full(4, 1.0 / 4.0))
+        assert b.n_real == 2 and b.m_real == 3
 
     def test_fill_is_mean_of_real_entries(self, rng):
-        raw = self._bundle(rng)
-        b = augment_virtual(raw)
+        raw, b = self._pair(rng)
         fill = raw.C_tilde.mean()
-        assert np.allclose(b.C_tilde[-1, :], fill)
-        assert np.allclose(b.C_tilde[:, -1], fill)
-        assert np.array_equal(b.C_tilde[:-1, :-1], raw.C_tilde)
+        assert (b.C_tilde[-1, :] == fill).all()
+        assert (b.C_tilde[:, -1] == fill).all()
 
     def test_fused_identity_still_holds(self, rng):
-        x, y = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        hyper = Hyperparams(use_virtual=False)
-        b = augment_virtual(build_cost_bundle(x, y, hyper))
-        expected = visual_cost(x, y) + hyper.rho * temporal_prior(4, 5)
-        assert np.allclose(b.C_tilde[:-1, :-1], expected, atol=1e-14)
+        raw, b = self._pair(rng)
+        assert b.C_tilde[:-1, :-1].tobytes() == raw.C_tilde.tobytes()
 
     def test_band_params_unchanged(self, rng):
-        raw = self._bundle(rng)
-        b = augment_virtual(raw)
+        raw, b = self._pair(rng)
         assert b.band_x == raw.band_x and b.band_y == raw.band_y
-
-    def test_twice_raises(self, rng):
-        b = augment_virtual(self._bundle(rng))
-        with pytest.raises(AlreadyAugmented):
-            augment_virtual(b)
 
 
 def _coupling(t, virtual):
