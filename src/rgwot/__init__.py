@@ -6,13 +6,14 @@ key-step labels. The pieces, roughly in pipeline order:
 - :mod:`rgwot.data_model`: file formats (RGWF tensors, label files, task
   manifests) and the shared :class:`Hyperparams` record.
 - :mod:`rgwot.priors`: cost matrices, structural bands, the virtual frame
-  and the background mask.
+  and the background mask, which flags the row video's frames of a coupling.
 - :mod:`rgwot.solver`: the entropic fused transport solver.
 - :mod:`rgwot.losses` / :mod:`rgwot.encoder` / :mod:`rgwot.training`:
   the contrastive objective and the two-layer encoder trained with it.
 - :mod:`rgwot.segmentation`: clustering plus exact chain Potts smoothing
   into key-step labels, and step orderings per video.
-- :mod:`rgwot.evaluation`: Hungarian-matched precision/recall/F1/IoU.
+- :mod:`rgwot.evaluation`: Hungarian-matched precision/recall/F1/IoU per
+  key step and their macro mean over the task.
 - :mod:`rgwot.synth`: synthetic task generator used by tests and the CLI.
 """
 

@@ -186,10 +186,10 @@ def cmd_align(args) -> int:
     enc = load_encoder(args.checkpoint)
     ex = enc.encode(features[x_id]).data
     ey = enc.encode(features[y_id]).data
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the solve, so an unusable --out costs none
     bundle = build_cost_bundle(ex, ey, hyper)
     coupling = solve_fgwot(bundle, hyper)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_coupling_csv(coupling.T, out / f"coupling_{x_id}_{y_id}.csv")
     write_trace_csv(coupling.objective_trace, out / f"trace_{x_id}_{y_id}.csv")
     alignment_svg(coupling.T, out / f"alignment_{x_id}_{y_id}.svg")
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except RgwotError as exc:
+    except (RgwotError, OSError) as exc:  # OSError: say, an --out that names a file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

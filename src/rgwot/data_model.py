@@ -108,10 +108,6 @@ class FrameEmbeddings:
     video_id: str
     data: np.ndarray  # (N, D) float64
 
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
 
 @dataclass(frozen=True)
 class LabelSequence:

@@ -5,7 +5,8 @@ matching over the whole task (concatenated videos, cost = negative frame
 overlap) maps predictions onto ground-truth steps before counting. With
 fewer clusters than steps, the steps left unmatched score 0. Frames whose
 ground truth is background (-1) are excluded from every count; predicted
-background on a real frame still costs a false negative.
+background on a real frame still costs a false negative. Scores are kept
+per key step and as their macro mean over the task, not per video.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ class StepMetrics:
 class MetricsReport:
     matching: tuple[tuple[int, int], ...]  # (pred id, gt id)
     per_step: dict[int, StepMetrics]  # keyed by gt step id, gt-present steps only
-    macro: StepMetrics
-    per_video: dict[str, StepMetrics]
+    macro: StepMetrics  # rates only: its tp/fp/fn stay 0
 
 
 def _counts_to_metrics(tp: int, fp: int, fn: int) -> StepMetrics:
@@ -121,9 +121,6 @@ def _macro(per_step: dict[int, StepMetrics]) -> StepMetrics:
         recall=float(np.mean([v.recall for v in vals])),
         f1=float(np.mean([v.f1 for v in vals])),
         iou=float(np.mean([v.iou for v in vals])),
-        tp=sum(v.tp for v in vals),
-        fp=sum(v.fp for v in vals),
-        fn=sum(v.fn for v in vals),
     )
 
 
@@ -145,8 +142,6 @@ def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence]
     gt_by_id = {seq.video_id: seq for seq in ground_truth}
     pred_parts = []
     gt_parts = []
-    video_slices = {}
-    offset = 0
     for pred in predictions:
         if pred.video_id not in gt_by_id:
             raise LengthMismatch(f"no ground truth for video {pred.video_id!r}")
@@ -158,8 +153,6 @@ def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence]
         keep = gt.labels != BACKGROUND
         pred_parts.append(pred.labels[keep])
         gt_parts.append(gt.labels[keep])
-        video_slices[pred.video_id] = (offset, offset + int(keep.sum()))
-        offset += int(keep.sum())
     pred_all = np.concatenate(pred_parts) if pred_parts else np.empty(0, dtype=np.int64)
     gt_all = np.concatenate(gt_parts) if gt_parts else np.empty(0, dtype=np.int64)
 
@@ -176,17 +169,7 @@ def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence]
 
     present = sorted(int(s) for s in np.unique(gt_all))
     per_step = _step_metrics(mapped, gt_all, present)
-    per_video = {}
-    for vid, (lo, hi) in video_slices.items():
-        gt_vid = gt_all[lo:hi]
-        steps = sorted(int(s) for s in np.unique(gt_vid))
-        per_video[vid] = _macro(_step_metrics(mapped[lo:hi], gt_vid, steps))
-    return MetricsReport(
-        matching=tuple(matching),
-        per_step=per_step,
-        macro=_macro(per_step),
-        per_video=per_video,
-    )
+    return MetricsReport(matching=tuple(matching), per_step=per_step, macro=_macro(per_step))
 
 
 def write_metrics_csv(report: MetricsReport, path, task_name: str,

@@ -1,13 +1,14 @@
 """Hot numeric kernels, vectorized with numpy.
 
 Kernels:
+  gibbs              the Gibbs kernel exp((f + g - G) / eps) of potentials f, g
   sinkhorn_log       Sinkhorn sweeps in the scaling domain with safeguarded
                      extrapolation, restarted in the log domain on overflow
   banded_gw_product  C_x @ T @ C_y for the banded structural costs
   cidm_parts         temporal contrastive loss value and embedding gradient
 
 Callers reach them as ``kernels.<name>`` so a profiler can rebind the module
-attributes; `perfbench/run.py --trace 1` times each one that way.
+attributes; `perfbench/run.py --trace 1` times all but gibbs that way.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ _CHECK = 8
 # the 716 steps of test_objective_trace_mostly_non_increasing (680/716 =
 # 0.9497, under its 0.95 gate); with 0.3 it rose on 34 (682/716 = 0.9525)
 _RHO_MIN = 0.3
+
+
+def gibbs(f, g, G, eps, out):
+    """exp((f_i + g_j - G_ij) / eps), one operation at a time in out (shaped like G)."""
+    np.add(f[:, None], g[None, :], out=out)
+    np.subtract(out, G, out=out)
+    np.divide(out, eps, out=out)
+    return np.exp(out, out=out)
 
 
 def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0, K=None):
@@ -97,12 +106,7 @@ def sinkhorn_log(G, logp, logq, eps, max_iters, tol, f0, g0, K=None):
     saved = None  # (u, v, K^T u, violation) before an extrapolation
     # overflow and 0-division show up as scalings out of range below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if K is None:
-            K = np.empty(G.shape)
-        np.add(f0[:, None], g0[None, :], out=K)
-        np.subtract(K, G, out=K)
-        np.divide(K, eps, out=K)
-        np.exp(K, out=K)
+        K = gibbs(f0, g0, G, eps, np.empty(G.shape) if K is None else K)
         ktu = K.sum(axis=0)
         # ndarray.dot makes the BLAS call of @ with less overhead per call:
         # 0.57 against 1.03 us for a 33x33 mat-vec, 3.0 against 3.4 us at 132x131

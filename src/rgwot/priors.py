@@ -1,6 +1,6 @@
 """Cost construction: visual cost, temporal prior, banded structural priors
 and the virtual frame, all assembled by `build_cost_bundle`; and the
-background mask that `segment` applies.
+background mask of a coupling's row video, which `segment` applies.
 
 The structural costs are never materialized for large inputs; they are kept
 as band parameters and consumed by the banded kernel. `BandSpec.dense()`
@@ -129,20 +129,18 @@ def build_cost_bundle(X, Y, hyper) -> CostBundle:
                       virtual=hyper.use_virtual)
 
 
-def background_mask(coupling, zeta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flag frames with no confident real match in the other video.
+def background_mask(coupling, zeta: float) -> np.ndarray:
+    """Flag the row video's frames with no confident real match in the column video.
 
     A frame's score is its largest matching probability with any real frame
     on the other side: max over real columns of T_ij divided by the full row
     mass (virtual column included). The frame is background when that
     probability stays below zeta, i.e. not even the best candidate claims a
-    zeta share of the row. Columns are scored symmetrically. zeta = 0
-    disables masking: a probability can never fall below zero.
+    zeta share of the row. zeta = 0 disables masking: a probability can
+    never fall below zero. Returns one boolean per real row.
     """
     t, real = coupling.T, coupling.real
-    n, m = real.shape
+    n = real.shape[0]
     row_total = t[:n, :].sum(axis=1)
-    col_total = t[:, :m].sum(axis=0)
     row_score = real.max(axis=1) / np.where(row_total > 0, row_total, 1.0)
-    col_score = real.max(axis=0) / np.where(col_total > 0, col_total, 1.0)
-    return row_score < zeta, col_score < zeta
+    return row_score < zeta

@@ -134,13 +134,21 @@ def _kmeans_pp(pts: np.ndarray, sq: np.ndarray, k: int,
     return centers
 
 
-def _seed_distances(pts: np.ndarray, sq: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """Squared distances of every point to each candidate row, (m, n).
+def _sq_distances(pts: np.ndarray, sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|p|^2 - 2 c.p + |c|^2 for every point p and row c, (len(rows), n), unclipped.
 
-    |p|^2 - 2 c.p + |c|^2 in one product, clipped at 0: rounding can take it
-    below 0 where p is near c, and rng.choice rejects negative weights.
+    Left to right in the buffer of one product; sq holds the squared norms of pts.
     """
-    d2 = sq - 2.0 * (cands @ pts.T) + np.sum(cands * cands, axis=1)[:, None]
+    d2 = rows @ pts.T
+    np.multiply(d2, 2.0, out=d2)
+    np.subtract(sq[None, :], d2, out=d2)
+    d2 += np.sum(rows * rows, axis=1)[:, None]
+    return d2
+
+
+def _seed_distances(pts: np.ndarray, sq: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """_sq_distances clipped at 0, which rounding crosses near c; rng.choice needs weights >= 0."""
+    d2 = _sq_distances(pts, sq, cands)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -204,14 +212,9 @@ def _nearest(pts, sq, centers):
     # center-major rows: row c * len(centers) + r is center c of set r, so
     # that each center's distances to all sets are one contiguous block
     stacked = np.stack(centers, axis=1).reshape(-1, pts.shape[1])
-    # d2 = sq - 2 G + |c|^2, left to right, in the buffer of the product
-    d2 = stacked @ pts.T
-    np.multiply(d2, 2.0, out=d2)
-    np.subtract(sq[None, :], d2, out=d2)
-    d2 += np.sum(stacked * stacked, axis=1)[:, None]
-    d2 = d2.reshape(k, len(centers), pts.shape[0])
+    d2 = _sq_distances(pts, sq, stacked).reshape(k, len(centers), pts.shape[0])
     # running minimum over the centers; strict < keeps the first on ties,
-    # as argmin does
+    # as argmin does; clipping before it would tie centers that round below 0
     best = np.zeros(d2.shape[1:], dtype=np.intp)
     low = d2[0].copy()
     closer = np.empty(low.shape, dtype=bool)
@@ -330,8 +333,7 @@ def compute_segment_masks(embeddings: list[np.ndarray], hyper: Hyperparams,
         coupling = solve_fgwot(bundle, hyper)
         if on_coupling is not None:
             on_coupling(coupling)
-        mask_x, _ = background_mask(coupling, hyper.zeta)
-        masks.append(mask_x)
+        masks.append(background_mask(coupling, hyper.zeta))
     return masks
 
 

@@ -86,12 +86,7 @@ def _sinkhorn_core(G, p, q, epsilon, max_iters, tol, f0=None, g0=None,
         raise NumericalOverflow(
             f"sinkhorn potentials left the representable range (epsilon={epsilon})"
         )
-    # t = exp((f + g - G) / epsilon), one operation at a time in one buffer
-    t = np.empty(G.shape) if out is None else out
-    np.add(f[:, None], g[None, :], out=t)
-    np.subtract(t, G, out=t)
-    np.divide(t, epsilon, out=t)
-    np.exp(t, out=t)
+    t = kernels.gibbs(f, g, G, epsilon, np.empty(G.shape) if out is None else out)
     if not np.isfinite(t).all():
         raise NumericalOverflow("transport plan overflowed; epsilon too small for cost scale")
     return t, f, g, iters, float(violation)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rgwot import segmentation, solver, training
+from rgwot import cli, segmentation, solver, training
 from rgwot.cli import _HYPER_FLAGS, main
 from rgwot.data_model import Hyperparams, load_labels, load_manifest
 from rgwot.encoder import load_encoder
@@ -472,6 +472,30 @@ def test_bad_input_file_is_an_error_not_a_crash(case, task_dir, trained_dir, tmp
     rc = main(_argv_reading_bad_file(case, task_dir, trained_dir, tmp_path))
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "align", "segment", "eval"])
+def test_out_naming_a_file_is_an_error_not_a_crash(command, task_dir, trained_dir, tmp_path,
+                                                   capsys, monkeypatch):
+    # align finds out before it solves
+    monkeypatch.setattr(cli, "solve_fgwot", lambda *a: pytest.fail("solved before mkdir"))
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    ckpt = str(trained_dir / "encoder.rgwf")
+    pair = [v.video_id for v in load_manifest(task_dir).videos[:2]]
+    rest = {
+        "synth": ["--profile", "easy"],
+        "train": ["--manifest", str(task_dir)] + TRAIN_FLAGS,
+        "align": ["--manifest", str(task_dir), "--checkpoint", ckpt, "--pair", *pair],
+        "segment": ["--manifest", str(task_dir), "--checkpoint", ckpt],
+        # the task directory holds a <video_id>.labels.txt for every video
+        "eval": ["--manifest", str(task_dir), "--pred-dir", str(task_dir.parent)],
+    }[command]
+    rc = main([command, "--out", str(out)] + rest)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "segment"])

@@ -194,31 +194,40 @@ def _coupling(t, virtual):
                     virtual=virtual)
 
 
+def _parent_row_mask(coupling, zeta):
+    """The row half of background_mask before it stopped scoring columns."""
+    t, real = coupling.T, coupling.real
+    n, m = real.shape
+    row_total = t[:n, :].sum(axis=1)
+    row_score = real.max(axis=1) / np.where(row_total > 0, row_total, 1.0)
+    return row_score < zeta, row_score
+
+
 class TestBackgroundMask:
     def test_confident_permutation_unmasked(self):
         t = np.eye(6) / 6.0
-        mask_x, mask_y = background_mask(_coupling(t, False), 0.5)
-        assert not mask_x.any() and not mask_y.any()
+        mask = background_mask(_coupling(t, False), 0.5)
+        assert not mask.any()
 
     def test_uniform_coupling_fully_masked(self):
         n, m = 5, 7
         t = np.full((n + 1, m + 1), 1.0 / ((n + 1) * (m + 1)))
-        mask_x, mask_y = background_mask(_coupling(t, True), 0.5)
-        assert mask_x.all() and mask_y.all()
-        assert mask_x.shape == (n,) and mask_y.shape == (m,)
+        mask = background_mask(_coupling(t, True), 0.5)
+        assert mask.all()
+        assert mask.shape == (n,)
 
     def test_zeta_zero_disables(self):
         t = np.full((4, 4), 1.0 / 16.0)
-        mask_x, mask_y = background_mask(_coupling(t, False), 0.0)
-        assert not mask_x.any() and not mask_y.any()
+        mask = background_mask(_coupling(t, False), 0.0)
+        assert not mask.any()
 
     def test_single_spread_row_masked(self):
         # three frames match confidently, the fourth is spread out
         n = m = 4
         t = np.eye(n) / n
         t[3] = 1.0 / (n * m)
-        mask_x, _ = background_mask(_coupling(t, False), 0.5)
-        assert mask_x.tolist() == [False, False, False, True]
+        mask = background_mask(_coupling(t, False), 0.5)
+        assert mask.tolist() == [False, False, False, True]
 
     def test_virtual_row_column_excluded_from_scores(self):
         # mass hidden in the virtual column lowers the row's real max
@@ -229,8 +238,8 @@ class TestBackgroundMask:
         t[2, m] = 0.15  # frame 2 leaks most mass to the virtual sink
         t[2, 2] = 0.05
         t[n, m] = 0.2
-        mask_x, _ = background_mask(_coupling(t, True), 0.5)
-        assert mask_x.tolist() == [False, False, True]
+        mask = background_mask(_coupling(t, True), 0.5)
+        assert mask.tolist() == [False, False, True]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -239,5 +248,23 @@ class TestBackgroundMask:
         n, m = int(r.integers(2, 8)), int(r.integers(2, 8))
         t = r.random((n + 1, m + 1))
         t /= t.sum()
-        mask_x, mask_y = background_mask(_coupling(t, True), 0.5)
-        assert mask_x.shape == (n,) and mask_y.shape == (m,)
+        mask = background_mask(_coupling(t, True), 0.5)
+        assert mask.shape == (n,) and mask.dtype == bool
+
+    @pytest.mark.parametrize("virtual", [False, True])
+    def test_matches_the_row_half_of_the_two_sided_mask(self, virtual):
+        # zeta values include every row's own score, where strict < decides
+        r = np.random.default_rng(7)
+        for trial in range(50):
+            n, m = int(r.integers(1, 12)), int(r.integers(1, 12))
+            rows, cols = (n + 1, m + 1) if virtual else (n, m)
+            t = r.random((rows, cols)) ** 4
+            t[r.random((rows, cols)) < 0.3] = 0.0
+            t[int(r.integers(n))] = 0.0  # a row of zeros: the row_total > 0 guard
+            t /= max(t.sum(), 1.0)
+            coupling = _coupling(t, virtual)
+            _, scores = _parent_row_mask(coupling, 0.5)
+            for zeta in [0.0, 0.25, 0.5, 1.0, *scores.tolist()]:
+                want, _ = _parent_row_mask(coupling, zeta)
+                got = background_mask(coupling, zeta)
+                assert got.dtype == bool and np.array_equal(got, want), (trial, zeta)

@@ -444,6 +444,106 @@ class TestInitCenters:
             assign = new
 
 
+def parent_seed_distances(pts, sq, cands):
+    """_seed_distances as one expression, before it shared _sq_distances."""
+    d2 = sq - 2.0 * (cands @ pts.T) + np.sum(cands * cands, axis=1)[:, None]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def parent_nearest(pts, sq, centers):
+    """_nearest with its own copy of the distance expression."""
+    k = centers[0].shape[0]
+    stacked = np.stack(centers, axis=1).reshape(-1, pts.shape[1])
+    d2 = stacked @ pts.T
+    np.multiply(d2, 2.0, out=d2)
+    np.subtract(sq[None, :], d2, out=d2)
+    d2 += np.sum(stacked * stacked, axis=1)[:, None]
+    d2 = d2.reshape(k, len(centers), pts.shape[0])
+    best = np.zeros(d2.shape[1:], dtype=np.intp)
+    low = d2[0].copy()
+    closer = np.empty(low.shape, dtype=bool)
+    for c in range(1, k):
+        np.less(d2[c], low, out=closer)
+        np.copyto(best, c, where=closer)
+        np.minimum(low, d2[c], out=low)
+    np.maximum(low, 0.0, out=low)
+    return list(best), list(low)
+
+
+def distance_pools():
+    """repeated_point_pools plus continuous pools off the origin, where
+    |p|^2 - 2 p.p + |p|^2 rounds away from 0 for a candidate in the pool."""
+    g = np.random.default_rng(5)
+    return repeated_point_pools() + [g.normal(size=(n, d)) * 10.0 + 3.0
+                                     for n, d in [(30, 1), (50, 4), (80, 16), (120, 128)]]
+
+
+class TestSquaredDistances:
+    """The shared |p|^2 - 2 c.p + |c|^2 keeps every bit of both callers."""
+
+    def test_seed_distances_match_the_parent_expression(self):
+        clipped = 0
+        for i, pts in enumerate(distance_pools()):
+            g = np.random.default_rng(i)
+            sq = np.sum(pts * pts, axis=1)
+            n = pts.shape[0]
+            # candidates drawn from the pool, as _kmeans_pp draws them, and off it
+            for cands in (pts[:1], pts[g.integers(n, size=4)],
+                          pts[g.integers(n, size=3)] + g.normal(size=(3, pts.shape[1]))):
+                raw = segmentation._sq_distances(pts, sq, cands)
+                clipped += int(np.count_nonzero(raw < 0.0))
+                want = parent_seed_distances(pts, sq, cands)
+                got = segmentation._seed_distances(pts, sq, cands)
+                assert got.shape == (cands.shape[0], n)
+                assert got.tobytes() == want.tobytes(), i
+        assert clipped > 0  # the clip at 0 acted somewhere
+
+    def test_sq_distances_are_unclipped(self):
+        pts = np.random.default_rng(1).normal(size=(40, 6)) * 10.0 + 3.0
+        sq = np.sum(pts * pts, axis=1)
+        want = sq - 2.0 * (pts @ pts.T) + sq[:, None]
+        assert segmentation._sq_distances(pts, sq, pts).tobytes() == want.tobytes()
+        assert want.min() < 0.0
+
+    @pytest.mark.parametrize("sets", [1, 2, 5])
+    def test_nearest_matches_the_parent_expression(self, sets):
+        for i, pts in enumerate(distance_pools()):
+            g = np.random.default_rng(i)
+            sq = np.sum(pts * pts, axis=1)
+            n = pts.shape[0]
+            k = min(4, n)
+            # pool points as centers, a repeated center (a tie) and off-pool centers
+            centers = [pts[g.integers(n, size=k)] for _ in range(sets)]
+            centers[0][-1] = centers[0][0]
+            centers[-1] = centers[-1] + g.normal(size=centers[-1].shape)
+            want_best, want_low = parent_nearest(pts, sq, centers)
+            got_best, got_low = segmentation._nearest(pts, sq, centers)
+            assert len(got_best) == len(got_low) == sets
+            for wb, wl, gb, gl in zip(want_best, want_low, got_best, got_low):
+                assert np.array_equal(gb, wb), i
+                assert gl.tobytes() == wl.tobytes(), i
+
+    def test_nearest_clips_after_the_minimum(self):
+        # centers at a pool point and at copies of it moved by 1e-9: the
+        # point's distances to several of them can round below 0, and a clip
+        # before the minimum would send it to the first of those
+        g = np.random.default_rng(5)
+        undercut = 0
+        for n, d in [(30, 1), (50, 4), (80, 16)]:
+            pts = g.normal(size=(n, d)) * 10.0 + 3.0
+            sq = np.sum(pts * pts, axis=1)
+            for j in range(n):
+                near = pts[j] + 1e-9 * g.normal(size=(4, d))
+                near[-1] = pts[j]
+                raw = segmentation._sq_distances(pts, sq, near)[:, j]
+                undercut += bool(np.argmin(raw) != np.argmax(raw < 0) and raw.min() < 0)
+                (want_best,), (want_low,) = parent_nearest(pts, sq, [near])
+                (got_best,), (got_low,) = segmentation._nearest(pts, sq, [near])
+                assert np.array_equal(got_best, want_best), (n, j)
+                assert got_low.tobytes() == want_low.tobytes(), (n, j)
+        assert undercut > 0
+
+
 class TestLabelingEnergy:
     def test_hand_computed(self):
         problem = GraphCutProblem(
@@ -734,7 +834,7 @@ class TestSegmentTask:
                            on_coupling=couplings.append)
         assert len(couplings) == len(videos)
         assert not any(c.virtual for c in couplings)
-        flagged = [background_mask(c, hyper.zeta)[0] for c in couplings]
+        flagged = [background_mask(c, hyper.zeta) for c in couplings]
         assert all(np.array_equal(mask[:4], [True] * 4) for mask in flagged)
         for seq, mask in zip(res.labels, flagged):
             assert np.all(seq.labels[mask] == BACKGROUND)

@@ -654,6 +654,34 @@ class TestSolveWorkspace:
         _assert_restarted(got, _log_domain(G, p, q, 1e-3, 300, 1e-7, np.zeros(20), np.zeros(24)))
 
 
+def parent_gibbs(f, g, G, eps):
+    """The four in-place steps that sinkhorn_log and _sinkhorn_core each wrote out."""
+    t = np.empty(G.shape)
+    np.add(f[:, None], g[None, :], out=t)
+    np.subtract(t, G, out=t)
+    np.divide(t, eps, out=t)
+    np.exp(t, out=t)
+    return t
+
+
+class TestGibbs:
+    """kernels.gibbs is the one copy of exp((f + g - G) / eps)."""
+
+    @pytest.mark.parametrize("eps", [1.0, 0.07, 0.003, 1e-5])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (33, 33), (131, 132)])
+    def test_matches_the_four_step_expression_bit_for_bit(self, rng, shape, eps):
+        G = rng.uniform(0.0, 2.0, shape)
+        f = rng.normal(scale=0.5, size=shape[0])
+        g = rng.normal(scale=0.5, size=shape[1])
+        out = np.full(shape, np.nan)
+        # at small eps entries overflow to inf and underflow to 0, on both sides
+        with np.errstate(over="ignore"):
+            got = kernels.gibbs(f, g, G, eps, out)
+            want = parent_gibbs(f, g, G, eps)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+
 class TestCouplingReal:
     def test_virtual_row_and_column_dropped(self, rng):
         t = rng.random((5, 6))
