@@ -59,28 +59,44 @@ class Encoder:
         return Encoder(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
                        seed=self.seed)
 
-    def forward(self, features: np.ndarray):
-        """Returns (embeddings, cache) where cache holds the hidden activations."""
+    def forward(self, features: np.ndarray, out: np.ndarray | None = None):
+        """Returns (embeddings, cache) where cache holds the hidden activations.
+
+        The embeddings are written into out, an (n, embed_dim) float64 array
+        (a row view included), when it is given. The biases and the tanh are
+        applied in place in the buffers of the two products.
+        """
         x = np.asarray(features, dtype=np.float64)
         if x.shape[1] != self.feature_dim:
             raise DimMismatch(
                 f"features have width {x.shape[1]}, encoder expects {self.feature_dim}"
             )
-        h = np.tanh(x @ self.w1 + self.b1)
-        e = h @ self.w2 + self.b2
+        h = x @ self.w1
+        h += self.b1
+        np.tanh(h, out=h)
+        e = np.matmul(h, self.w2, out=out)
+        e += self.b2
         return e, h
 
     def backward(self, features: np.ndarray, hidden: np.ndarray,
-                 grad_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. parameters, given dLoss/dE."""
+                 grad_out: np.ndarray,
+                 out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss w.r.t. parameters, given dLoss/dE.
+
+        They are written into out, a dict of float64 arrays shaped like the
+        parameters, when it is given, and out is returned; without it each
+        gradient is a new array.
+        """
         x = np.asarray(features, dtype=np.float64)
-        dw2 = hidden.T @ grad_out
-        db2 = grad_out.sum(axis=0)
-        dh = grad_out @ self.w2.T
-        dz = dh * (1.0 - hidden * hidden)
-        dw1 = x.T @ dz
-        db1 = dz.sum(axis=0)
-        return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+        if out is None:
+            out = {name: np.empty_like(p) for name, p in self.params().items()}
+        np.matmul(hidden.T, grad_out, out=out["w2"])
+        np.sum(grad_out, axis=0, out=out["b2"])
+        dz = grad_out @ self.w2.T
+        dz *= 1.0 - hidden * hidden
+        np.matmul(x.T, dz, out=out["w1"])
+        np.sum(dz, axis=0, out=out["b1"])
+        return out
 
     def encode(self, features: FrameFeatures) -> FrameEmbeddings:
         e, _ = self.forward(features.data)
@@ -89,13 +105,22 @@ class Encoder:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers for Adam, and two scratch
-    buffers per parameter that every step reuses."""
+    """Per-parameter first/second moment buffers for Adam, two scratch
+    buffers per parameter that every step reuses, and the two gradient dicts
+    a training step fills (see grad_buffers)."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
     scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    grads: tuple[dict[str, np.ndarray], ...] = ()
+
+    def grad_buffers(self, enc: Encoder) -> tuple[dict[str, np.ndarray], ...]:
+        """Two gradient dicts shaped like enc's parameters, made at the first call."""
+        if not self.grads:
+            self.grads = tuple({k: np.empty_like(p) for k, p in enc.params().items()}
+                               for _ in range(2))
+        return self.grads
 
     @classmethod
     def for_encoder(cls, enc: Encoder) -> "AdamState":

@@ -32,6 +32,8 @@ from .solver import solve_fgwot
 # a run stops earlier once its assignment repeats
 _RESTARTS = 5
 _LLOYD_ITERS = 100
+# the most rows per block of _row_sq_norms, which makes no N x d temporary
+_BLOCK = 1024
 
 
 def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,6 +56,10 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     sums reaches them, and its SSE is the sum of the squared distances to
     those centers, from a product over its own centers. The lowest SSE
     wins, the earliest run on ties.
+
+    points is only read, and no N x d temporary is made: the squared norms
+    are summed in blocks of at most _BLOCK rows (_row_sq_norms), and each
+    distance product has a row per center and a column per point.
     """
     pts = np.asarray(points, dtype=np.float64)
     # k distinct values in one column already make k distinct points; only
@@ -62,7 +68,7 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         distinct = np.unique(pts, axis=0).shape[0]
         if distinct < k:
             raise DegenerateData(f"need at least {k} distinct points, got {distinct}")
-    sq = np.sum(pts * pts, axis=1)
+    sq = _row_sq_norms(pts)
     centers = [_kmeans_pp(pts, sq, k, rng) for _ in range(_RESTARTS)]
     assign = _nearest(pts, sq, centers)[0]
     # per run: the assignment its centers were averaged from, and the
@@ -99,6 +105,26 @@ def init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         if sse < best_sse:
             best_centers, best_sse = c, sse
     return best_centers
+
+
+def _row_sq_norms(pts: np.ndarray, centers: np.ndarray | None = None,
+                  assign: np.ndarray | None = None) -> np.ndarray:
+    """np.sum(x * x, axis=1) of x = pts, or of x = pts - centers[assign].
+
+    Taken in blocks of at most _BLOCK rows. Each row's sum reads that row
+    alone, so the blocks give the bits of the whole-array expression without
+    its N x d temporaries. The blocks are of near-equal size, so none is a
+    lone row unless pts is one: numpy sums a lone row of a column-major
+    array in another order than it sums the rows of the whole array.
+    """
+    n = pts.shape[0]
+    sq = np.empty(n)
+    blocks = -(-n // _BLOCK)
+    for b in range(blocks):
+        rows = slice(b * n // blocks, (b + 1) * n // blocks)
+        x = pts[rows] if centers is None else pts[rows] - centers[assign[rows]]
+        sq[rows] = np.sum(x * x, axis=1)
+    return sq
 
 
 def _kmeans_pp(pts: np.ndarray, sq: np.ndarray, k: int,
@@ -192,7 +218,7 @@ def _lloyd_means(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray,
         if counts[c]:
             new_centers[c] = sums[c] / counts[c]
         else:
-            worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
+            worst = np.argmax(_row_sq_norms(pts, new_centers, assign))
             new_centers[c] = pts[worst]
     return new_centers
 
@@ -340,13 +366,16 @@ def compute_segment_masks(embeddings: list[np.ndarray], hyper: Hyperparams,
 def _unary_costs(e: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance of every frame in e to every center, (N, k).
 
-    Filled one center at a time: each entry sums the same d contiguous
-    squares as the N x k x d difference would, bit for bit, without its
-    two N x k x d temporaries.
+    Filled one center at a time in one N x d work buffer: each entry sums
+    the same d contiguous squares as the N x k x d difference would, bit for
+    bit, without its two N x k x d temporaries.
     """
     unary = np.empty((e.shape[0], centers.shape[0]))
+    work = np.empty_like(e)
     for c, center in enumerate(centers):
-        unary[:, c] = np.sum((e - center) ** 2, axis=1)
+        np.subtract(e, center, out=work)
+        np.multiply(work, work, out=work)
+        unary[:, c] = np.sum(work, axis=1)
     return unary
 
 
@@ -358,15 +387,25 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     With use_masks, background frames are detected by pairwise alignment
     first, excluded from clustering, and forced to label BACKGROUND.
     on_coupling, when given, receives the coupling of each of those solves.
+
+    The videos are encoded into one (total frames, embed_dim) float64
+    buffer, of which each video's embeddings are a row view. k-means
+    clusters that buffer itself when no frame is masked, and a copy of its
+    unmasked rows otherwise; these are the only N x embed_dim arrays made.
     """
     _check_potts_weight(beta)  # before the alignment solves, not after
-    embeddings = [enc.forward(v.data)[0] for v in videos]
+    frames = np.empty((sum(v.n_frames for v in videos), enc.embed_dim))
+    embeddings = []
+    start = 0
+    for v in videos:
+        embeddings.append(enc.forward(v.data, out=frames[start:start + v.n_frames])[0])
+        start += v.n_frames
     if use_masks and hyper.zeta > 0 and len(videos) >= 2:
         masks = compute_segment_masks(embeddings, hyper, on_coupling)
     else:
         masks = [np.zeros(e.shape[0], dtype=bool) for e in embeddings]
-    pool = np.concatenate([e[~m] for e, m in zip(embeddings, masks)], axis=0)
-    centers = init_centers(pool, k, rng)
+    keep = ~np.concatenate(masks)
+    centers = init_centers(frames if keep.all() else frames[keep], k, rng)
 
     label_seqs = []
     orders = []

@@ -46,11 +46,14 @@ def sample_frames(n_total: int, count: int, rng: np.random.Generator) -> np.ndar
 
 
 def _param_grads(encoder: Encoder, clip_x, hidden_x, clip_y, hidden_y,
-                 report: LossReport) -> dict[str, np.ndarray]:
+                 report: LossReport, out=(None, None)) -> dict[str, np.ndarray]:
     """Backprop the report's embedding gradients through both clips, summed
-    in place into the first clip's gradients."""
-    grads = encoder.backward(clip_x, hidden_x, report.grad_x)
-    for name, grad_y in encoder.backward(clip_y, hidden_y, report.grad_y).items():
+    in place into the first clip's gradients.
+
+    out holds the gradient dicts the two backward passes fill (None: new ones).
+    """
+    grads = encoder.backward(clip_x, hidden_x, report.grad_x, out[0])
+    for name, grad_y in encoder.backward(clip_y, hidden_y, report.grad_y, out[1]).items():
         grads[name] += grad_y
     return grads
 
@@ -81,7 +84,8 @@ def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
     coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
     report = total_loss(ex, ey, coupling.real, None, hyper,
                         idx_x.astype(np.float64), idx_y.astype(np.float64))
-    grads = _param_grads(encoder, clip_x, hx, clip_y, hy, report)
+    grads = _param_grads(encoder, clip_x, hx, clip_y, hy, report,
+                         adam.grad_buffers(encoder))
     adam_update(encoder, adam, grads, hyper.learning_rate, _WEIGHT_DECAY)
     return report, coupling
 

@@ -15,8 +15,10 @@ from rgwot.encoder import (
 from rgwot.errors import ConfigError, DimMismatch, InsufficientFrames, MalformedHeader, ZeroNormRow
 from rgwot.priors import build_cost_bundle, visual_cost
 from rgwot.solver import solve_fgwot
+from rgwot.losses import total_loss
 from rgwot.training import (
     _WEIGHT_DECAY,
+    _param_grads,
     hyper_header,
     loss_and_param_grads,
     sample_frames,
@@ -57,6 +59,25 @@ def fd_param_grads(loss_of, enc, h=1e-5):
             it.iternext()
         grads[name] = g
     return grads
+
+
+def parent_forward(enc, features):
+    """The forward map as one expression per layer."""
+    h = np.tanh(np.asarray(features, dtype=np.float64) @ enc.w1 + enc.b1)
+    return h @ enc.w2 + enc.b2, h
+
+
+def parent_backward(enc, features, hidden, grad_out):
+    """The gradients as one new array each."""
+    x = np.asarray(features, dtype=np.float64)
+    dz = (grad_out @ enc.w2.T) * (1.0 - hidden * hidden)
+    return {"w1": x.T @ dz, "b1": dz.sum(axis=0),
+            "w2": hidden.T @ grad_out, "b2": grad_out.sum(axis=0)}
+
+
+def random_encoder(rng, f=24, d=16, h=40):
+    return Encoder(rng.normal(size=(f, h)) / np.sqrt(f), rng.normal(size=h),
+                   rng.normal(size=(h, d)) / np.sqrt(h), rng.normal(size=d))
 
 
 class TestEncoder:
@@ -107,6 +128,36 @@ class TestEncoder:
         want = fd_param_grads(loss_of, enc.copy())
         for name in got:
             assert rel_err(got[name], want[name]) < 1e-6, name
+
+    @pytest.mark.parametrize("n", [2, 33, 260])
+    def test_forward_into_a_row_view_has_the_bits_of_the_expression(self, n):
+        rng = np.random.default_rng(n)
+        enc = random_encoder(rng)
+        f = rng.normal(size=(n, 24)).astype(np.float32)
+        want_e, want_h = parent_forward(enc, f)
+        e, h = enc.forward(f)
+        assert e.tobytes() == want_e.tobytes() and h.tobytes() == want_h.tobytes()
+        buf = np.full((n + 5, 16), np.nan)
+        e, h = enc.forward(f, out=buf[3:3 + n])
+        assert np.shares_memory(e, buf)
+        assert buf[3:3 + n].tobytes() == want_e.tobytes() and h.tobytes() == want_h.tobytes()
+        assert np.isnan(buf[:3]).all() and np.isnan(buf[3 + n:]).all()
+
+    @pytest.mark.parametrize("n", [2, 33, 260])
+    def test_backward_into_kept_buffers_has_the_bits_of_the_expressions(self, n):
+        rng = np.random.default_rng(n)
+        enc = random_encoder(rng)
+        f = rng.normal(size=(n, 24)).astype(np.float32)
+        grad_out = rng.normal(size=(n, 16))
+        _, hidden = enc.forward(f)
+        want = parent_backward(enc, f, hidden, grad_out)
+        fresh = enc.backward(f, hidden, grad_out)
+        out = {name: np.full_like(p, np.nan) for name, p in enc.params().items()}
+        got = enc.backward(f, hidden, grad_out, out)
+        assert got is out and sorted(got) == sorted(want)
+        for name in want:
+            assert fresh[name].tobytes() == want[name].tobytes(), name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestAdam:
@@ -316,6 +367,33 @@ class TestTrainingLoop:
         want = fd_param_grads(loss_of, enc.copy())
         for name in got:
             assert rel_err(got[name], want[name]) < 1e-4, name
+
+    def test_steps_through_kept_gradient_buffers_match_new_ones(self, desk_hyper):
+        # train_step backpropagates into the two gradient dicts kept on its
+        # AdamState; the steps must be those of new gradients, bit for bit
+        videos = toy_videos(np.random.default_rng(3))
+        hyper = replace(desk_hyper, embed_dim=5, hidden_dim=9)
+        enc = Encoder.create(videos[0].feature_dim, hyper.embed_dim, hyper.hidden_dim, seed=3)
+        ref = enc.copy()
+        adam, ref_adam = AdamState.for_encoder(enc), AdamState.for_encoder(ref)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        kept = None
+        for a, b in [(0, 1), (2, 3), (1, 2), (3, 0)]:
+            train_step(enc, adam, videos[a], videos[b], hyper, rng)
+            idx_x, idx_y, coupling = step_target(ref, videos[a], videos[b], hyper, ref_rng)
+            clip_x, clip_y = videos[a].data[idx_x], videos[b].data[idx_y]
+            ex, hx = ref.forward(clip_x)
+            ey, hy = ref.forward(clip_y)
+            report = total_loss(ex, ey, coupling.real, None, hyper,
+                                idx_x.astype(np.float64), idx_y.astype(np.float64))
+            grads = _param_grads(ref, clip_x, hx, clip_y, hy, report)
+            adam_update(ref, ref_adam, grads, hyper.learning_rate, _WEIGHT_DECAY)
+            for name, p in enc.params().items():
+                assert p.tobytes() == ref.params()[name].tobytes(), (a, b, name)
+            if kept is None:
+                kept = [g for d in adam.grads for g in d.values()]
+            assert len(adam.grads) == 2
+            assert all(g is k for g, k in zip((g for d in adam.grads for g in d.values()), kept))
 
     def test_masks_are_rejected(self, rng, desk_hyper):
         videos = toy_videos(rng)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -544,6 +545,84 @@ class TestSquaredDistances:
         assert undercut > 0
 
 
+def parent_lloyd_means(pts, centers, assign, sums, counts):
+    """_lloyd_means with the revival's fit over the whole pool at once."""
+    new_centers = centers.copy()
+    for c in range(centers.shape[0]):
+        if counts[c]:
+            new_centers[c] = sums[c] / counts[c]
+        else:
+            worst = np.argmax(np.sum((pts - new_centers[assign]) ** 2, axis=1))
+            new_centers[c] = pts[worst]
+    return new_centers
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedRowNorms:
+    """Row-wise squared norms by blocks of rows keep the whole-array bits."""
+
+    # pool sizes as (blocks, extra rows): a lone row past a block boundary,
+    # in a column-major pool, is summed in another order than the whole pool
+    @pytest.mark.parametrize("size", [(0, 2), (1, -1), (1, 0), (1, 1), (2, 300), (3, 1)])
+    @pytest.mark.parametrize("d", [1, 7, 128])
+    def test_same_bytes_as_the_whole_array(self, size, d):
+        n = size[0] * segmentation._BLOCK + size[1]
+        g = np.random.default_rng(n + d)
+        pts = g.normal(size=(n, d)) * g.uniform(0.1, 1e3, size=(n, 1)) + 5.0
+        centers = g.normal(size=(4, d)) * 100.0
+        assign = g.integers(4, size=n)
+        for layout in (pts, np.asfortranarray(pts), pts[:, ::-1]):
+            got = segmentation._row_sq_norms(layout)
+            assert got.tobytes() == np.sum(layout * layout, axis=1).tobytes()
+            got = segmentation._row_sq_norms(layout, centers, assign)
+            want = np.sum((layout - centers[assign]) ** 2, axis=1)
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def revival_case(d=16):
+        """A pool of 16 blocks in three blobs around 0, 8 and -8 with two
+        outliers, one in the first block and one in the last, that fit their
+        cluster equally badly; clusters 3 and 4 are empty. The sums make
+        every cluster mean exactly its blob's center."""
+        g = np.random.default_rng(2)
+        n = 16 * segmentation._BLOCK
+        centers = np.concatenate([np.array([[0.0], [8.0], [-8.0]]) * np.ones(d),
+                                  np.full((2, d), 1e3)])
+        assign = g.integers(3, size=n)
+        pts = centers[assign] + g.normal(size=(n, d))
+        assign[10] = assign[n - 10] = 0
+        pts[10], pts[n - 10] = 0.0, 0.0
+        pts[10, 0], pts[n - 10, 1] = 40.0, 40.0
+        counts = np.bincount(assign, minlength=5)
+        sums = centers * counts[:, None]
+        return pts, centers, assign, sums, counts
+
+    def test_revival_matches_the_unblocked_expression(self):
+        pts, centers, assign, sums, counts = self.revival_case()
+        got = segmentation._lloyd_means(pts, centers, assign, sums, counts)
+        want = parent_lloyd_means(pts, centers, assign, sums, counts)
+        assert got.tobytes() == want.tobytes()
+        # the tie goes to the first outlier, for both empty clusters
+        assert np.array_equal(got[3], pts[10]) and np.array_equal(got[4], pts[10])
+        assert np.array_equal(got[:3], centers[:3])
+
+    def test_revival_makes_no_pool_sized_temporary(self):
+        # the unblocked fit makes three N x d temporaries: over 2x the pool
+        pts, centers, assign, sums, counts = self.revival_case()
+        _, peak = traced_peak(segmentation._lloyd_means, pts, centers, assign, sums, counts)
+        assert peak <= 0.5 * pts.nbytes, peak / pts.nbytes
+
+
 class TestLabelingEnergy:
     def test_hand_computed(self):
         problem = GraphCutProblem(
@@ -732,10 +811,77 @@ class TestUnaryCosts:
             assert segmentation._unary_costs(e, centers).tobytes() == want.tobytes(), (n, k)
 
 
+def parent_segment_task(videos, enc, k, beta, masks, rng):
+    """segment_task's clustering and labeling as they were: a new array per
+    video's embeddings, the pool their unmasked rows concatenated, and the
+    unary costs from the N x k x d difference. Returns (labels, centers,
+    relabelled)."""
+    embeddings = [np.tanh(np.asarray(v.data, dtype=np.float64) @ enc.w1 + enc.b1) @ enc.w2
+                  + enc.b2 for v in videos]
+    pool = np.concatenate([e[~m] for e, m in zip(embeddings, masks)], axis=0)
+    centers = init_centers(pool, k, rng)
+    labels, relabelled = [], []
+    for e, mask in zip(embeddings, masks):
+        unary = np.sum((e[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        lab, _ = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
+        relabelled.append(int(np.count_nonzero(lab != np.argmin(unary, axis=1))))
+        lab[mask] = BACKGROUND
+        labels.append(lab)
+    return labels, centers, tuple(relabelled)
+
+
+def step_videos(n_videos, frames, dim, k, seed):
+    """Videos of k steps in sorted order around random means, float32 features."""
+    g = np.random.default_rng(seed)
+    means = g.normal(size=(k, dim)) * 3.0
+    return [FrameFeatures(f"v{v}", (means[np.sort(g.integers(k, size=frames))]
+                                    + g.normal(size=(frames, dim))).astype(np.float32))
+            for v in range(n_videos)]
+
+
 class TestSegmentTask:
     @pytest.fixture
     def hyper(self):
         return Hyperparams(embed_dim=8, hidden_dim=8, zeta=0.0)
+
+    @pytest.mark.parametrize("masking", ["none", "some", "one video whole"])
+    def test_same_bytes_as_the_concatenated_pool(self, masking, monkeypatch):
+        # 1,500 frames: the pool spans two blocks of the squared norms
+        videos = step_videos(3, 500, 24, 5, seed=4)
+        enc = Encoder.create(24, 16, 32, seed=4)
+        g = np.random.default_rng(5)
+        masks = [np.zeros(v.n_frames, dtype=bool) for v in videos]
+        if masking != "none":
+            masks = [g.random(v.n_frames) < 0.3 for v in videos]
+        if masking == "one video whole":
+            masks[1][:] = True
+        monkeypatch.setattr(segmentation, "compute_segment_masks",
+                            lambda embeddings, hyper, on_coupling: masks)
+        hyper = Hyperparams(embed_dim=16, hidden_dim=32, zeta=0.5)
+        res = segment_task(videos, enc, k=5, beta=2.0, hyper=hyper,
+                           rng=np.random.default_rng(6), use_masks=masking != "none")
+        labels, centers, relabelled = parent_segment_task(videos, enc, 5, 2.0, masks,
+                                                          np.random.default_rng(6))
+        assert res.centers.tobytes() == centers.tobytes()
+        assert res.relabelled == relabelled
+        for seq, want in zip(res.labels, labels):
+            assert seq.labels.tobytes() == want.tobytes()
+        if masking == "one video whole":
+            assert np.all(res.labels[1].labels == BACKGROUND) and res.orders[1] == ()
+
+    def test_holds_one_copy_of_the_embeddings(self):
+        # 8 videos of 2,000 frames; with a new array per video, the
+        # concatenated pool and the pool-sized square of init_centers the
+        # peak was 3.08x the pool, and init_centers' alone 1.01x
+        videos = step_videos(8, 2000, 24, 7, seed=0)
+        enc = Encoder.create(24, 128, 256)
+        pool_bytes = 8 * 2000 * 128 * 8
+        _, peak = traced_peak(segment_task, videos, enc, 7, 1.0, Hyperparams(),
+                              np.random.default_rng(0), False)
+        assert peak <= 1.6 * pool_bytes, peak / pool_bytes
+        pool = np.concatenate([enc.forward(v.data)[0] for v in videos])
+        _, peak = traced_peak(init_centers, pool, 7, np.random.default_rng(0))
+        assert peak <= 0.5 * pool_bytes, peak / pool_bytes
 
     def test_recovers_contiguous_steps(self, hyper):
         videos = blob_videos()
