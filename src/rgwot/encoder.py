@@ -9,7 +9,7 @@ sidecar describing shapes and hyperparameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,27 +105,23 @@ class Encoder:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers for Adam, two scratch
-    buffers per parameter that every step reuses, and the two gradient dicts
-    a training step fills (see grad_buffers)."""
+    """Adam's buffers for one encoder, all made by for_encoder: the moments of
+    each parameter, two scratch buffers per parameter for adam_update's
+    temporaries, and the two gradient dicts a training step fills."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
+    grads: tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
     step: int = 0
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    grads: tuple[dict[str, np.ndarray], ...] = ()
-
-    def grad_buffers(self, enc: Encoder) -> tuple[dict[str, np.ndarray], ...]:
-        """Two gradient dicts shaped like enc's parameters, made at the first call."""
-        if not self.grads:
-            self.grads = tuple({k: np.empty_like(p) for k, p in enc.params().items()}
-                               for _ in range(2))
-        return self.grads
 
     @classmethod
     def for_encoder(cls, enc: Encoder) -> "AdamState":
-        zeros = {k: np.zeros_like(p) for k, p in enc.params().items()}
-        return cls(m=zeros, v={k: np.zeros_like(p) for k, p in enc.params().items()})
+        params = enc.params().items()
+        return cls(m={k: np.zeros_like(p) for k, p in params},
+                   v={k: np.zeros_like(p) for k, p in params},
+                   scratch={k: (np.empty_like(p), np.empty_like(p)) for k, p in params},
+                   grads=tuple({k: np.empty_like(p) for k, p in params} for _ in range(2)))
 
 
 def adam_update(enc: Encoder, state: AdamState, grads: dict[str, np.ndarray],
@@ -135,15 +131,13 @@ def adam_update(enc: Encoder, state: AdamState, grads: dict[str, np.ndarray],
     The parameters and both moment buffers are updated in place, with the
     operations of theta -= lr * m_hat / (sqrt(v_hat) + eps) in that order.
     Every temporary is computed in the state's two scratch buffers of the
-    parameter, made at its first step.
+    parameter.
     """
     state.step += 1
     t = state.step
     for name in PARAM_NAMES:
         theta = getattr(enc, name)
         m, v = state.m[name], state.v[name]
-        if name not in state.scratch:
-            state.scratch[name] = (np.empty_like(theta), np.empty_like(theta))
         g, step = state.scratch[name]
         np.multiply(theta, weight_decay, out=g)
         g += grads[name]

@@ -7,6 +7,9 @@ replaced by the entropic plan for G, warm-starting the dual potentials. The
 loop stops when the L1 change of T falls below the tolerance, or after the
 first solve when the structural term is zero at every T (alpha = 0, or an
 empty C_x band).
+
+`sinkhorn` and `solve_fgwot` check their problem once, at entry; each inner
+solve is one `_entropic_plan`, whose potentials and plan are checked finite.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class Coupling:
         return self.T[:-1, :-1] if self.virtual else self.T
 
 
-def _validate_marginals(G, p, q):
+def _check_problem(G, p, q, epsilon):
     n, m = G.shape
     if p.shape != (n,) or q.shape != (m,):
         raise ShapeMismatch(f"marginals {p.shape}/{q.shape} do not fit cost {G.shape}")
@@ -56,37 +59,20 @@ def _validate_marginals(G, p, q):
         raise ShapeMismatch("cost matrix contains non-finite entries")
     if np.any(p <= 0) or np.any(q <= 0):
         raise ShapeMismatch("marginals must be strictly positive")
-
-
-def _sinkhorn_core(G, p, q, epsilon, max_iters, tol, f0=None, g0=None,
-                   logs=None, K=None, out=None):
-    """Plan and potentials of one entropic solve.
-
-    logs, when given, is (log p, log q); K and out, when given, are
-    C-contiguous buffers shaped like G for the kernel and for the plan.
-    """
-    _validate_marginals(G, p, q)
     if epsilon <= 0:
         raise NumericalOverflow(f"epsilon must be positive, got {epsilon}")
-    logp, logq = (np.log(p), np.log(q)) if logs is None else logs
-    f0 = np.zeros_like(p) if f0 is None else np.asarray(f0, dtype=np.float64)
-    g0 = np.zeros_like(q) if g0 is None else np.asarray(g0, dtype=np.float64)
-    f, g, iters, violation = kernels.sinkhorn_log(
-        np.ascontiguousarray(G, dtype=np.float64),
-        logp,
-        logq,
-        float(epsilon),
-        int(max_iters),
-        float(tol),
-        f0,
-        g0,
-        K,
-    )
+
+
+def _entropic_plan(G, logp, logq, epsilon, max_iters, tol, f0, g0, K, out):
+    """(plan, f, g, iters, violation) of one entropic solve of a checked problem:
+    G is C-contiguous float64, K and out are C-contiguous buffers shaped like G."""
+    f, g, iters, violation = kernels.sinkhorn_log(G, logp, logq, epsilon, max_iters, tol,
+                                                  f0, g0, K)
     if not (np.isfinite(f).all() and np.isfinite(g).all() and np.isfinite(violation)):
         raise NumericalOverflow(
             f"sinkhorn potentials left the representable range (epsilon={epsilon})"
         )
-    t = kernels.gibbs(f, g, G, epsilon, np.empty(G.shape) if out is None else out)
+    t = kernels.gibbs(f, g, G, epsilon, out)
     if not np.isfinite(t).all():
         raise NumericalOverflow("transport plan overflowed; epsilon too small for cost scale")
     return t, f, g, iters, float(violation)
@@ -100,7 +86,12 @@ def sinkhorn(G, p, q, epsilon, max_iters: int = _SINKHORN_ITERS,
     ran out before the column-marginal violation reached tol (row marginals
     are exact after the final row update).
     """
-    t, _, _, iters, violation = _sinkhorn_core(G, p, q, epsilon, max_iters, tol)
+    _check_problem(G, p, q, epsilon)
+    G = np.ascontiguousarray(G, dtype=np.float64)
+    t, _, _, iters, violation = _entropic_plan(
+        G, np.log(p), np.log(q), float(epsilon), int(max_iters), float(tol),
+        np.zeros(G.shape[0]), np.zeros(G.shape[1]), np.empty(G.shape), np.empty(G.shape)
+    )
     return Coupling(
         T=t,
         outer_iterations=iters,
@@ -111,11 +102,8 @@ def sinkhorn(G, p, q, epsilon, max_iters: int = _SINKHORN_ITERS,
     )
 
 
-def gw_gradient_fast(band_x, T, band_y, out=None, scratch=None) -> np.ndarray:
-    """C_x @ T @ C_y in O(N*M) using prefix sums over the bands.
-
-    out and scratch, when given, are the buffers of kernels.banded_gw_product.
-    """
+def gw_gradient_fast(band_x, T, band_y) -> np.ndarray:
+    """C_x @ T @ C_y in O(N*M) using prefix sums over the bands."""
     if T.shape != (band_x.size, band_y.size):
         raise ShapeMismatch(
             f"plan {T.shape} does not match bands ({band_x.size}, {band_y.size})"
@@ -125,8 +113,6 @@ def gw_gradient_fast(band_x, T, band_y, out=None, scratch=None) -> np.ndarray:
         int(band_x.radius),
         int(band_y.radius),
         float(band_x.value),
-        out,
-        scratch,
     )
 
 
@@ -139,7 +125,8 @@ def _gw_pad(bundle: CostBundle, T, out=None, scratch=None) -> np.ndarray:
     n, m = bundle.n_real, bundle.m_real
     if out is None:
         out = np.zeros_like(T)
-    gw_gradient_fast(bundle.band_x, T[:n, :m], bundle.band_y, out[:n, :m], scratch)
+    kernels.banded_gw_product(T[:n, :m], bundle.band_x.radius, bundle.band_y.radius,
+                              bundle.band_x.value, out[:n, :m], scratch)
     return out
 
 
@@ -162,6 +149,8 @@ def fgwot_objective(bundle: CostBundle, T, alpha: float, epsilon: float,
     C-contiguous scratch buffer shaped like T for the elementwise terms.
     """
     if gw_product is None:
+        if T.shape != bundle.C_tilde.shape:
+            raise ShapeMismatch(f"plan {T.shape} does not match cost {bundle.C_tilde.shape}")
         gw_product = _gw_pad(bundle, T)
     buf = np.empty(T.shape) if out is None else out
     kot = float(np.sum(np.multiply(bundle.C_tilde, T, out=buf)))
@@ -180,9 +169,11 @@ def fgwot_objective(bundle: CostBundle, T, alpha: float, epsilon: float,
 def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     """Outer loop of the fused solver.
 
-    T starts at the product coupling p q^T. Each iteration re-linearizes the
-    structural term and re-solves the entropic linear problem with warm
-    potentials; convergence is an L1 change of T at most _TOL.
+    The bundle is checked once, before the first solve; a finite plan and a
+    band value 1/r <= n keep every linearized cost finite. T starts at the
+    product coupling p q^T and the potentials at zero. Each iteration
+    re-linearizes the structural term and re-solves the entropic linear
+    problem with warm potentials; convergence is an L1 change of T at most _TOL.
     When the structural term is zero at every T, the first plan is the fixed
     point: the solve is one Sinkhorn solve of (1 - alpha) * C_tilde, reported
     with final_delta 0 and converged as that inner solve converged.
@@ -191,15 +182,18 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     inner violation.
     """
     alpha = hyper.alpha
-    eps = hyper.epsilon
+    eps = float(hyper.epsilon)
     p, q = bundle.p, bundle.q
-    logs = np.log(p), np.log(q)
+    shape = bundle.C_tilde.shape
     n, m = bundle.n_real, bundle.m_real
+    _check_problem(bundle.C_tilde, p, q, eps)
+    if shape != (n + bundle.virtual, m + bundle.virtual):
+        raise ShapeMismatch(f"bands ({n}, {m}) do not fit cost {shape}")
+    logp, logq = np.log(p), np.log(q)
     # Every n x m step of an iteration writes into these buffers, with the
     # operations of the plain expressions in the same order, so the plans
     # keep every bit. The plan is double-buffered: t is the last plan,
     # t_new receives the next.
-    shape = bundle.C_tilde.shape
     t, t_new = np.empty(shape), np.empty(shape)
     kernel = np.empty(shape)
     grad = np.empty(shape)
@@ -208,7 +202,7 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     banded = np.empty(n * m + (n + 1) * (m + 1)) if bundle.band_x.radius > 0 else None
     fused = (1.0 - alpha) * bundle.C_tilde
     np.multiply(p[:, None], q[None, :], out=t)  # the product coupling
-    f = g = None
+    f, g = np.zeros(shape[0]), np.zeros(shape[1])
     trace = []
     delta = np.inf
     converged = False
@@ -220,8 +214,8 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
         # grad = (1 - alpha) * C_tilde + 2 * alpha * product
         np.multiply(product, 2.0 * alpha, out=grad)
         np.add(fused, grad, out=grad)
-        t_new, f, g, _, violation = _sinkhorn_core(
-            grad, p, q, eps, _SINKHORN_ITERS, _INNER_TOL, f, g, logs, kernel, t_new
+        t_new, f, g, _, violation = _entropic_plan(
+            grad, logp, logq, eps, _SINKHORN_ITERS, _INNER_TOL, f, g, kernel, t_new
         )
         capped += violation > _INNER_TOL
         worst = max(worst, violation)

@@ -84,8 +84,7 @@ def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
     coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
     report = total_loss(ex, ey, coupling.real, None, hyper,
                         idx_x.astype(np.float64), idx_y.astype(np.float64))
-    grads = _param_grads(encoder, clip_x, hx, clip_y, hy, report,
-                         adam.grad_buffers(encoder))
+    grads = _param_grads(encoder, clip_x, hx, clip_y, hy, report, adam.grads)
     adam_update(encoder, adam, grads, hyper.learning_rate, _WEIGHT_DECAY)
     return report, coupling
 

@@ -395,6 +395,32 @@ class TestTrainingLoop:
             assert len(adam.grads) == 2
             assert all(g is k for g, k in zip((g for d in adam.grads for g in d.values()), kept))
 
+    def test_adam_state_is_built_whole_and_reused(self, rng, desk_hyper):
+        # for_encoder makes every buffer a step uses; train_step allocates none
+        videos = toy_videos(rng)
+        enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
+                             desk_hyper.hidden_dim)
+        adam = AdamState.for_encoder(enc)
+        params = enc.params()
+
+        def buffers():
+            """(parameter name, buffer) for every buffer the state holds."""
+            return ([(k, adam.m[k]) for k in params] + [(k, adam.v[k]) for k in params]
+                    + [(k, b) for k in params for b in adam.scratch[k]]
+                    + [(k, d[k]) for d in adam.grads for k in params])
+
+        assert len(adam.grads) == 2
+        for held in (adam.m, adam.v, adam.scratch, *adam.grads):
+            assert sorted(held) == sorted(params)
+        assert all(b.shape == params[k].shape for k, b in buffers())
+        made = [b for _, b in buffers()]
+        assert len({id(b) for b in made}) == len(made) == 6 * len(params)
+        assert not any(np.shares_memory(b, p) for b in made for p in params.values())
+        for _ in range(2):
+            train_step(enc, adam, videos[0], videos[1], desk_hyper, rng)
+            assert all(b is k for (_, b), k in zip(buffers(), made))
+        assert adam.step == 2
+
     def test_masks_are_rejected(self, rng, desk_hyper):
         videos = toy_videos(rng)
         enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -423,6 +424,14 @@ class TestObjective:
         parts = fgwot_objective(bundle, t, alpha=0.3, epsilon=0.07)
         assert parts.entropy > 0  # -sum t log t of an interior plan
 
+    @pytest.mark.parametrize("virtual", [False, True])
+    def test_rejects_a_plan_not_shaped_like_the_cost(self, rng, virtual):
+        bundle, _ = _bundle(rng, n=5, m=6, virtual=virtual)
+        rows, cols = bundle.C_tilde.shape
+        for shape in [(rows - 1, cols), (rows, cols + 1), (rows + 2, cols + 2)]:
+            with pytest.raises(ShapeMismatch):
+                fgwot_objective(bundle, np.full(shape, 1.0 / (shape[0] * shape[1])), 0.3, 0.07)
+
 
 class TestSolveFgwot:
     @pytest.mark.parametrize("alpha, n, r", [(0.0, 12, 0.1), (0.3, 32, 0.02)],
@@ -532,6 +541,73 @@ class TestSolveFgwot:
         b = solve_fgwot(bundle, hyper)
         assert np.array_equal(a.T, b.T)
         assert a.objective_trace == b.objective_trace
+
+
+def _bad_bundles(bundle):
+    """Copies of a virtual bundle of 6 x 7 real frames, each with one fault
+    that solve_fgwot rejects."""
+    c_nan = bundle.C_tilde.copy()
+    c_nan[2, 3] = np.nan
+    c_inf = bundle.C_tilde.copy()
+    c_inf[-1, -1] = np.inf
+    p_zero = bundle.p.copy()
+    p_zero[0] = 0.0
+    q_neg = bundle.q.copy()
+    q_neg[-1] = -q_neg[-1]
+    wide_x, _ = structural_priors(7, 7, 0.3)
+    return {
+        "nan-cost": replace(bundle, C_tilde=c_nan),
+        "inf-cost": replace(bundle, C_tilde=c_inf),
+        "zero-p": replace(bundle, p=p_zero),
+        "negative-q": replace(bundle, q=q_neg),
+        "short-p": replace(bundle, p=bundle.p[:-1]),
+        "long-q": replace(bundle, q=np.append(bundle.q, bundle.q[0])),
+        "bands-too-wide": replace(bundle, band_x=wide_x),
+        "not-virtual": replace(bundle, virtual=False),
+    }
+
+
+class TestSolveFgwotChecksAtEntry:
+    """solve_fgwot checks its bundle once, before its first inner solve."""
+
+    def test_bad_bundle_raises_before_any_solve(self, rng, monkeypatch):
+        bundle, hyper = _bundle(rng, virtual=True)
+        calls = _count_calls(monkeypatch, "sinkhorn_log")
+        for fault, bad in _bad_bundles(bundle).items():
+            with pytest.raises(ShapeMismatch):
+                solve_fgwot(bad, hyper)
+            assert calls == [], fault
+        solve_fgwot(bundle, hyper)
+        assert calls
+
+    def test_epsilon_must_be_positive(self, rng, monkeypatch):
+        # Hyperparams rejects epsilon <= 0 itself; solve_fgwot reads only
+        # alpha and epsilon, so any object with those two is checked too
+        bundle, hyper = _bundle(rng, virtual=True)
+        calls = _count_calls(monkeypatch, "sinkhorn_log")
+        for eps in (0.0, -0.07):
+            with pytest.raises(NumericalOverflow):
+                solve_fgwot(bundle, SimpleNamespace(alpha=hyper.alpha, epsilon=eps))
+        assert calls == []
+
+    def test_full_video_solve_checks_its_problem_once(self, monkeypatch):
+        # the workload of segment: a ~130-frame pair that runs to the outer cap
+        rng = np.random.default_rng(0)
+        hyper = Hyperparams()
+        bundle = build_cost_bundle(rng.normal(size=(130, 16)), rng.normal(size=(131, 16)),
+                                   hyper)
+        checks = []
+        check = solver._check_problem
+
+        def counted(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(solver, "_check_problem", counted)
+        solves = _count_calls(monkeypatch, "sinkhorn_log")
+        c = solve_fgwot(bundle, hyper)
+        assert c.outer_iterations == solver._MAX_OUTER == len(solves)
+        assert len(checks) == 1 and checks[0][0] is bundle.C_tilde
 
 
 def _reference_solve(bundle, hyper):
@@ -655,7 +731,8 @@ class TestSolveWorkspace:
 
 
 def parent_gibbs(f, g, G, eps):
-    """The four in-place steps that sinkhorn_log and _sinkhorn_core each wrote out."""
+    """The four in-place steps that sinkhorn_log and the solver's plan each wrote
+    out before kernels.gibbs was their one copy."""
     t = np.empty(G.shape)
     np.add(f[:, None], g[None, :], out=t)
     np.subtract(t, G, out=t)
