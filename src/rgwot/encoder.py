@@ -180,6 +180,8 @@ def load_encoder(path) -> Encoder:
         seed = int(meta.get("seed", 0))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise MalformedHeader(f"{sidecar_path}: bad checkpoint sidecar: {exc!r}") from None
+    if min(f, h, d) < 1:
+        raise MalformedHeader(f"{sidecar_path}: dimensions {(f, h, d)} must be at least 1")
     sizes = [f * h, h, h * d, d]
     if flat.size != sum(sizes):
         raise MalformedHeader(

@@ -10,8 +10,9 @@ import pytest
 
 from rgwot import cli, segmentation, solver, training
 from rgwot.cli import _HYPER_FLAGS, main
-from rgwot.data_model import Hyperparams, load_labels, load_manifest
+from rgwot.data_model import Hyperparams, load_labels, load_manifest, write_rgwf
 from rgwot.encoder import load_encoder
+from rgwot.errors import MalformedHeader
 from rgwot.solver import solve_fgwot
 from rgwot.synth import make_task, write_task
 
@@ -470,6 +471,28 @@ def _argv_reading_bad_file(case, task_dir, trained_dir, tmp_path):
 def test_bad_input_file_is_an_error_not_a_crash(case, task_dir, trained_dir, tmp_path,
                                                  capsys):
     rc = main(_argv_reading_bad_file(case, task_dir, trained_dir, tmp_path))
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["negative-feature-dim", "zero-feature-dim"])
+def test_sidecar_dimension_below_one_is_malformed(case, task_dir, trained_dir, tmp_path, capsys):
+    # each sidecar promises as many parameters as its checkpoint holds
+    ckpt = tmp_path / "encoder.rgwf"
+    meta = json.loads((trained_dir / "encoder.rgwf.json").read_text())
+    if case == "negative-feature-dim":
+        ckpt.write_bytes((trained_dir / "encoder.rgwf").read_bytes())
+        params = load_encoder(trained_dir / "encoder.rgwf").params().values()
+        dims = (-1, sum(a.size for a in params) - 1, 1)
+    else:
+        write_rgwf(ckpt, np.ones((1, 43)))
+        dims = (0, 10, 3)
+    meta.update(zip(("feature_dim", "hidden_dim", "embed_dim"), dims))
+    (tmp_path / "encoder.rgwf.json").write_text(json.dumps(meta))
+    with pytest.raises(MalformedHeader, match="at least 1"):
+        load_encoder(ckpt)
+    rc = main(["segment", "--manifest", str(task_dir), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 

@@ -611,7 +611,8 @@ class TestSolveFgwotChecksAtEntry:
 
 
 def _reference_solve(bundle, hyper):
-    """solve_fgwot as it was written with a fresh array for every step."""
+    """solve_fgwot as it was written with a fresh array for every step, with
+    the same inner tolerance schedule."""
 
     def gw_pad(t):
         n, m = bundle.n_real, bundle.m_real
@@ -634,25 +635,40 @@ def _reference_solve(bundle, hyper):
     t = np.outer(p, q)
     f, g = np.zeros_like(p), np.zeros_like(q)
     trace, delta, converged, iters, capped, worst = [], np.inf, False, 0, 0, 0.0
+    risen = False
     product = gw_pad(t)
     for it in range(1, solver._MAX_OUTER + 1):
         grad = (1.0 - alpha) * bundle.C_tilde + 2.0 * alpha * product
+        exact = it == 1 or it == solver._MAX_OUTER or risen
+        tol = solver._INNER_TOL if exact else \
+            max(solver._INNER_TOL, solver._INNER_FORCING * delta / len(q))
         f, g, _, violation = kernels.sinkhorn_log(grad, np.log(p), np.log(q), eps,
-                                                  solver._SINKHORN_ITERS, solver._INNER_TOL,
-                                                  f, g)
-        violation = float(violation)
+                                                  solver._SINKHORN_ITERS, tol, f, g)
         t_new = np.exp((f[:, None] + g[None, :] - grad) / eps)
-        capped += violation > solver._INNER_TOL
-        worst = max(worst, violation)
         product = gw_pad(t_new)
-        trace.append(objective(t_new, product))
+        value = objective(t_new, product)
+        if trace and value > trace[-1]:
+            risen = True
+            if tol > solver._INNER_TOL:
+                # a loose solve that raised the objective is finished exactly
+                tol = solver._INNER_TOL
+                f, g, _, violation = kernels.sinkhorn_log(grad, np.log(p), np.log(q), eps,
+                                                          solver._SINKHORN_ITERS, tol, f, g)
+                t_new = np.exp((f[:, None] + g[None, :] - grad) / eps)
+                product = gw_pad(t_new)
+                value = objective(t_new, product)
+        violation = float(violation)
+        trace.append(value)
+        capped += violation > tol
+        if tol == solver._INNER_TOL:
+            worst = max(worst, violation)
         iters = it
         if alpha == 0.0 or bundle.band_x.radius == 0:
             t, delta, converged = t_new, 0.0, violation <= solver._INNER_TOL
             break
         delta = float(np.abs(t_new - t).sum())
         t = t_new
-        if delta <= solver._TOL:
+        if delta <= solver._TOL and tol == solver._INNER_TOL:
             converged = True
             break
     return Coupling(T=t, outer_iterations=iters, converged=converged, final_delta=delta,
@@ -728,6 +744,66 @@ class TestSolveWorkspace:
                                    np.zeros(20), np.zeros(24), K)
         assert len(fallbacks) == 1 and fallbacks[0][-1] is K
         _assert_restarted(got, _log_domain(G, p, q, 1e-3, 300, 1e-7, np.zeros(20), np.zeros(24)))
+
+
+def _record_solves(monkeypatch):
+    """(tol, a copy of the cost, final violation) of every kernels.sinkhorn_log call."""
+    solves = []
+    original = kernels.sinkhorn_log
+
+    def recorded(*args):
+        result = original(*args)
+        solves.append((args[5], args[0].copy(), float(result[3])))
+        return result
+
+    monkeypatch.setattr(kernels, "sinkhorn_log", recorded)
+    return solves
+
+
+class TestInexactInnerSolves:
+    """Linearizations whose plan is replaced run to a looser inner tolerance;
+    a returned plan, and every plan after the objective rises, is exact."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_returned_plan_meets_the_inner_tolerance(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        bundle, hyper = _bundle(rng, n=14, m=14, virtual=True, r=0.2)
+        solves = _record_solves(monkeypatch)
+        c = solve_fgwot(bundle, hyper)
+        tol, _, violation = solves[-1]
+        assert tol == solver._INNER_TOL
+        assert np.abs(c.T.sum(axis=1) - bundle.p).max() < 1e-15
+        if violation > tol:  # counted by inner_capped
+            assert c.inner_capped > 0
+        else:
+            assert np.abs(c.T.sum(axis=0) - bundle.q).max() <= 1e-9
+        assert c.inner_violation <= 1e-9 or c.inner_capped > 0
+
+    @pytest.mark.parametrize("alpha, r, virtual", [(0.0, 0.3, True), (0.0, 0.2, False),
+                                                   (0.3, 0.05, True), (1.0, 0.05, False)])
+    def test_structure_free_solve_is_sinkhorn_bit_for_bit(self, rng, alpha, r, virtual):
+        # alpha = 0, or a band radius floor(14 * 0.05) = 0
+        bundle, hyper = _bundle(rng, n=14, m=15, virtual=virtual, r=r)
+        hyper = replace(hyper, alpha=alpha)
+        got = solve_fgwot(bundle, hyper)
+        want = sinkhorn((1 - alpha) * bundle.C_tilde, bundle.p, bundle.q, hyper.epsilon)
+        assert np.array_equal(got.T, want.T)
+        assert (got.inner_capped, got.inner_violation) == (want.inner_capped, want.inner_violation)
+
+    def test_every_solve_after_the_objective_rises_is_exact(self, monkeypatch):
+        # on this seed a loose solve raises the objective at linearization 8
+        rng = np.random.default_rng(9)
+        bundle, hyper = _bundle(rng, n=14, m=14, virtual=True, r=0.2)
+        solves = _record_solves(monkeypatch)
+        c = solve_fgwot(bundle, hyper)
+        # the guard re-solves one linearization: one call more than linearizations
+        assert len(solves) == c.outer_iterations + 1
+        tols = [tol for tol, _, _ in solves]
+        costs = [cost for _, cost, _ in solves]
+        finished = [j for j in range(1, len(costs)) if np.array_equal(costs[j], costs[j - 1])]
+        assert finished == [7]
+        assert all(tol > solver._INNER_TOL for tol in tols[1:7])
+        assert tols[7:] == [solver._INNER_TOL] * (len(solves) - 7)
 
 
 def parent_gibbs(f, g, G, eps):
