@@ -148,7 +148,7 @@ def cmd_train(args) -> int:
     dump_dir = out / "couplings"
     if args.dump_couplings:
         dump_dir.mkdir(parents=True, exist_ok=True)
-    solves = []  # (inner solves capped, inner solves, worst inner violation) per step
+    solves = []  # (capped, outer_iterations, inner_violation) of each step's coupling
 
     def on_target(coupling):
         if args.dump_couplings:
@@ -169,7 +169,7 @@ def cmd_train(args) -> int:
 
 
 def _print_inner_solves(solves) -> None:
-    """One line over (inner solves capped, inner solves, worst violation) triples."""
+    """One line over (inner_capped, outer_iterations, inner_violation) triples."""
     capped = sum(c for c, _, _ in solves)
     inner = sum(n for _, n, _ in solves)
     worst = max((v for _, _, v in solves), default=0.0)
@@ -217,7 +217,7 @@ def cmd_segment(args) -> int:
         + hyper_header(hyper)
     enc = load_encoder(args.checkpoint)
     rng = np.random.default_rng(args.seed)
-    solves = []  # (inner solves capped, inner solves, worst inner violation) per mask solve
+    solves = []  # (capped, outer_iterations, inner_violation) of each mask solve
     at_cap = []  # per mask solve: stopped at the outer cap
 
     def on_coupling(coupling):

@@ -278,10 +278,11 @@ def load_task(manifest: TaskManifest):
 class Hyperparams:
     """Every knob of the pipeline in one place.
 
-    Defaults follow the reference configuration; epochs defaults to a value
-    sized for the bundled synthetic tasks rather than full-length video
-    corpora. sigma counts frames (same units as the frame indices handed to
-    the temporal regularizer). Fixed values are constants beside their one
+    Defaults follow the reference configuration; sigma=300 and epochs=300
+    are sized for corpora of long real videos, and the short bundled tasks
+    take a tighter sigma and fewer epochs as flags (README quick start).
+    sigma counts frames (same units as the frame indices handed to the
+    temporal regularizer). Fixed values are constants beside their one
     user: the solver's stopping rule (solver._MAX_OUTER, _SINKHORN_ITERS,
     _TOL, _INNER_TOL) and Adam's weight decay (training._WEIGHT_DECAY).
     """

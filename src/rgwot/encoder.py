@@ -107,12 +107,12 @@ class Encoder:
 class AdamState:
     """Adam's buffers for one encoder, all made by for_encoder: the moments of
     each parameter, two scratch buffers per parameter for adam_update's
-    temporaries, and the two gradient dicts a training step fills."""
+    temporaries, and the gradient dict a training step fills."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     scratch: dict[str, tuple[np.ndarray, np.ndarray]]
-    grads: tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
+    grads: dict[str, np.ndarray]
     step: int = 0
 
     @classmethod
@@ -121,20 +121,25 @@ class AdamState:
         return cls(m={k: np.zeros_like(p) for k, p in params},
                    v={k: np.zeros_like(p) for k, p in params},
                    scratch={k: (np.empty_like(p), np.empty_like(p)) for k, p in params},
-                   grads=tuple({k: np.empty_like(p) for k, p in params} for _ in range(2)))
+                   grads={k: np.empty_like(p) for k, p in params})
 
 
 def adam_update(enc: Encoder, state: AdamState, grads: dict[str, np.ndarray],
                 lr: float, weight_decay: float) -> None:
     """In-place Adam step; weight decay is added to the gradient (L2 style).
 
-    The parameters and both moment buffers are updated in place, with the
-    operations of theta -= lr * m_hat / (sqrt(v_hat) + eps) in that order.
-    Every temporary is computed in the state's two scratch buffers of the
-    parameter.
+    The parameters and both moment buffers are updated in place, in Kingma
+    and Ba's efficient order (Adam, 2015, section 2): with c = sqrt(1 -
+    beta2^t), theta -= (lr * c / (1 - beta1^t)) * (m / (sqrt(v) + eps * c)),
+    in that order. Up to rounding this is the textbook lr * m_hat /
+    (sqrt(v_hat) + eps), with one division per element instead of three. Every
+    temporary is computed in the state's two scratch buffers of the parameter.
     """
     state.step += 1
     t = state.step
+    c = np.sqrt(1.0 - _BETA2 ** t)
+    alpha = lr * c / (1.0 - _BETA1 ** t)
+    eps = _EPS * c
     for name in PARAM_NAMES:
         theta = getattr(enc, name)
         m, v = state.m[name], state.v[name]
@@ -146,12 +151,10 @@ def adam_update(enc: Encoder, state: AdamState, grads: dict[str, np.ndarray],
         g *= g
         v *= _BETA2
         v += np.multiply(g, 1.0 - _BETA2, out=step)
-        np.divide(m, 1.0 - _BETA1 ** t, out=step)
-        step *= lr
-        denom = np.divide(v, 1.0 - _BETA2 ** t, out=g)
-        np.sqrt(denom, out=denom)
-        denom += _EPS
-        step /= denom
+        denom = np.sqrt(v, out=g)
+        denom += eps
+        np.divide(m, denom, out=step)
+        step *= alpha
         theta -= step
 
 

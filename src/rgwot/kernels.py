@@ -261,10 +261,10 @@ def cidm_parts(X, pos, sigma, lam):
     # coefficient of (x_i - x_j)/d in dL/dx_i, summed over both orientations
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_d = np.where(d > 0.0, 1.0 / d, 0.0)
-    coef = np.zeros_like(d)
-    coef[attract] = inv_d[attract] / w[attract]
+    # attract and active are disjoint, so each entry takes one of the terms
     active = repel & (d < lam) & (d > 0.0)
-    coef[active] -= w[active] * inv_d[active]
+    coef = np.where(attract, inv_d / w, 0.0)
+    coef = np.where(active, -w * inv_d, coef)
     coef *= 2.0  # (i, j) and (j, i) contribute identically
     grad = coef.sum(axis=1)[:, None] * X - coef @ X
     return float(loss), grad

@@ -1,11 +1,11 @@
 """Pairwise self-supervised training loop.
 
 A step is one pass over a pair of videos: sample a clip from each, encode
-each clip once, solve the fused transport problem between the clips, score
-the alignment + regularizer loss of every sampled frame against the
-real-frame block of the solved plan (held constant), then backpropagate
-through the cached activations and take one Adam step. Training is
-single-threaded and fully determined by the passed Generator.
+the two clips stacked in one forward pass, solve the fused transport problem
+between them, score the alignment + regularizer loss of every sampled frame
+against the real-frame block of the solved plan (held constant),
+backpropagate through the stack in one backward pass and take one Adam step.
+Training is single-threaded and fully determined by the passed Generator.
 """
 
 from __future__ import annotations
@@ -45,27 +45,24 @@ def sample_frames(n_total: int, count: int, rng: np.random.Generator) -> np.ndar
     return idx
 
 
-def _param_grads(encoder: Encoder, clip_x, hidden_x, clip_y, hidden_y,
-                 report: LossReport, out=(None, None)) -> dict[str, np.ndarray]:
-    """Backprop the report's embedding gradients through both clips, summed
-    in place into the first clip's gradients.
-
-    out holds the gradient dicts the two backward passes fill (None: new ones).
-    """
-    grads = encoder.backward(clip_x, hidden_x, report.grad_x, out[0])
-    for name, grad_y in encoder.backward(clip_y, hidden_y, report.grad_y, out[1]).items():
-        grads[name] += grad_y
-    return grads
+def _encode_pair(encoder: Encoder, clip_x, clip_y):
+    """(clips, hidden, ex, ey): both clips stacked in one float64 array and
+    encoded in one pass; ex and ey are row views of the stack's embeddings."""
+    if np.shape(clip_x)[1:] != np.shape(clip_y)[1:]:
+        raise DimMismatch(f"clips of widths {np.shape(clip_x)[1:]} and {np.shape(clip_y)[1:]}")
+    clips = np.concatenate((clip_x, clip_y), dtype=np.float64)
+    e, hidden = encoder.forward(clips)
+    return clips, hidden, e[:len(clip_x)], e[len(clip_x):]
 
 
 def loss_and_param_grads(encoder: Encoder, clip_x: np.ndarray, clip_y: np.ndarray,
                          t_star: np.ndarray, masks, hyper: Hyperparams,
                          positions_x=None, positions_y=None):
     """Loss report and parameter gradients for a fixed real-frame plan (masks must be None)."""
-    ex, hx = encoder.forward(clip_x)
-    ey, hy = encoder.forward(clip_y)
+    clips, hidden, ex, ey = _encode_pair(encoder, clip_x, clip_y)
     report = total_loss(ex, ey, t_star, masks, hyper, positions_x, positions_y)
-    return report, _param_grads(encoder, clip_x, hx, clip_y, hy, report)
+    grad_out = np.concatenate((report.grad_x, report.grad_y))
+    return report, encoder.backward(clips, hidden, grad_out)
 
 
 def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
@@ -78,13 +75,12 @@ def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
     """
     idx_x = sample_frames(feats_x.n_frames, min(hyper.sampled_frames, feats_x.n_frames), rng)
     idx_y = sample_frames(feats_y.n_frames, min(hyper.sampled_frames, feats_y.n_frames), rng)
-    clip_x, clip_y = feats_x.data[idx_x], feats_y.data[idx_y]
-    ex, hx = encoder.forward(clip_x)
-    ey, hy = encoder.forward(clip_y)
+    clips, hidden, ex, ey = _encode_pair(encoder, feats_x.data[idx_x], feats_y.data[idx_y])
     coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
     report = total_loss(ex, ey, coupling.real, None, hyper,
                         idx_x.astype(np.float64), idx_y.astype(np.float64))
-    grads = _param_grads(encoder, clip_x, hx, clip_y, hy, report, adam.grads)
+    grad_out = np.concatenate((report.grad_x, report.grad_y))
+    grads = encoder.backward(clips, hidden, grad_out, adam.grads)
     adam_update(encoder, adam, grads, hyper.learning_rate, _WEIGHT_DECAY)
     return report, coupling
 

@@ -18,7 +18,6 @@ from rgwot.solver import solve_fgwot
 from rgwot.losses import total_loss
 from rgwot.training import (
     _WEIGHT_DECAY,
-    _param_grads,
     hyper_header,
     loss_and_param_grads,
     sample_frames,
@@ -73,6 +72,18 @@ def parent_backward(enc, features, hidden, grad_out):
     dz = (grad_out @ enc.w2.T) * (1.0 - hidden * hidden)
     return {"w1": x.T @ dz, "b1": dz.sum(axis=0),
             "w2": hidden.T @ grad_out, "b2": grad_out.sum(axis=0)}
+
+
+def textbook_adam(params, m, v, grads, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as Kingma and Ba's Algorithm 1 writes it, on fresh arrays:
+    theta -= lr * m_hat / (sqrt(v_hat) + eps), three divisions per element."""
+    for k in params:
+        g = grads[k] + wd * params[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+        m_hat = m[k] / (1.0 - b1 ** t)
+        v_hat = v[k] / (1.0 - b2 ** t)
+        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def random_encoder(rng, f=24, d=16, h=40):
@@ -202,18 +213,36 @@ class TestAdam:
             grads = {k: rng.normal(size=p.shape) for k, p in theta.items()}
             given = {k: g.copy() for k, g in grads.items()}
             adam_update(enc, state, grads, lr=lr, weight_decay=wd)
+            c = np.sqrt(1.0 - b2 ** t)
+            alpha_t = lr * c / (1.0 - b1 ** t)
+            eps_hat = eps * c
             for k in theta:
                 g = grads[k] + wd * theta[k]
                 m[k] = b1 * m[k] + (1.0 - b1) * g
                 v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
-                m_hat = m[k] / (1.0 - b1 ** t)
-                v_hat = v[k] / (1.0 - b2 ** t)
-                theta[k] = theta[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                theta[k] = theta[k] - alpha_t * (m[k] / (np.sqrt(v[k]) + eps_hat))
             for k, p in enc.params().items():
                 assert np.array_equal(p, theta[k]), (t, k)
                 assert np.array_equal(state.m[k], m[k]), (t, k)
                 assert np.array_equal(state.v[k], v[k]), (t, k)
                 assert np.array_equal(grads[k], given[k]), (t, k)
+
+    def test_update_agrees_with_the_textbook_order(self, rng):
+        # the folded bias corrections change rounding only: over 1,000 steps
+        # at the training step's lr and weight decay the parameters stay
+        # within 1e-12 relative of lr * m_hat / (sqrt(v_hat) + eps)
+        enc = Encoder.create(6, embed_dim=3, hidden_dim=5, seed=2)
+        state = AdamState.for_encoder(enc)
+        theta = {k: p.copy() for k, p in enc.params().items()}
+        m = {k: np.zeros_like(p) for k, p in theta.items()}
+        v = {k: np.zeros_like(p) for k, p in theta.items()}
+        for t in range(1, 1001):
+            grads = {k: rng.normal(size=p.shape) for k, p in theta.items()}
+            adam_update(enc, state, grads, lr=1e-3, weight_decay=_WEIGHT_DECAY)
+            textbook_adam(theta, m, v, grads, t, lr=1e-3, wd=_WEIGHT_DECAY)
+        for k, p in enc.params().items():
+            assert rel_err(p, theta[k]) < 1e-12, k
+            assert rel_err(state.m[k], m[k]) < 1e-12 and rel_err(state.v[k], v[k]) < 1e-12, k
 
     def test_scratch_buffers_are_made_once(self, rng):
         enc = Encoder.create(4, embed_dim=3, hidden_dim=5, seed=2)
@@ -369,34 +398,69 @@ class TestTrainingLoop:
             assert rel_err(got[name], want[name]) < 1e-4, name
 
     def test_steps_through_kept_gradient_buffers_match_new_ones(self, desk_hyper):
-        # train_step backpropagates into the two gradient dicts kept on its
-        # AdamState; the steps must be those of new gradients, bit for bit
+        # train_step backpropagates into the gradient dict kept on its
+        # AdamState; the steps must be those of new gradients, bit for bit.
+        # The reference encodes the stacked clips in one forward pass and
+        # backpropagates both embedding gradients in one backward pass into
+        # new arrays
         videos = toy_videos(np.random.default_rng(3))
         hyper = replace(desk_hyper, embed_dim=5, hidden_dim=9)
         enc = Encoder.create(videos[0].feature_dim, hyper.embed_dim, hyper.hidden_dim, seed=3)
         ref = enc.copy()
         adam, ref_adam = AdamState.for_encoder(enc), AdamState.for_encoder(ref)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        kept = None
+        kept = list(adam.grads.values())
         for a, b in [(0, 1), (2, 3), (1, 2), (3, 0)]:
             train_step(enc, adam, videos[a], videos[b], hyper, rng)
-            idx_x, idx_y, coupling = step_target(ref, videos[a], videos[b], hyper, ref_rng)
-            clip_x, clip_y = videos[a].data[idx_x], videos[b].data[idx_y]
-            ex, hx = ref.forward(clip_x)
-            ey, hy = ref.forward(clip_y)
+            idx_x = sample_frames(videos[a].n_frames, hyper.sampled_frames, ref_rng)
+            idx_y = sample_frames(videos[b].n_frames, hyper.sampled_frames, ref_rng)
+            clips = np.concatenate((videos[a].data[idx_x], videos[b].data[idx_y]),
+                                   dtype=np.float64)
+            e, hidden = ref.forward(clips)
+            ex, ey = e[:len(idx_x)], e[len(idx_x):]
+            coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
             report = total_loss(ex, ey, coupling.real, None, hyper,
                                 idx_x.astype(np.float64), idx_y.astype(np.float64))
-            grads = _param_grads(ref, clip_x, hx, clip_y, hy, report)
+            grads = ref.backward(clips, hidden, np.concatenate((report.grad_x, report.grad_y)))
             adam_update(ref, ref_adam, grads, hyper.learning_rate, _WEIGHT_DECAY)
             for name, p in enc.params().items():
                 assert p.tobytes() == ref.params()[name].tobytes(), (a, b, name)
-            if kept is None:
-                kept = [g for d in adam.grads for g in d.values()]
-            assert len(adam.grads) == 2
-            assert all(g is k for g, k in zip((g for d in adam.grads for g in d.values()), kept))
+            assert all(g is k for g, k in zip(adam.grads.values(), kept))
+
+    def test_steps_agree_with_two_pass_textbook_steps(self, desk_hyper):
+        # the reference step encodes and backpropagates each clip on its own,
+        # sums the two gradients and takes the textbook Adam step; over 60
+        # steps the parameters stay within 1e-10 relative of train_step's
+        videos = toy_videos(np.random.default_rng(6))
+        enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
+                             desk_hyper.hidden_dim, seed=6)
+        adam = AdamState.for_encoder(enc)
+        ref = enc.copy()
+        m = {k: np.zeros_like(p) for k, p in ref.params().items()}
+        v = {k: np.zeros_like(p) for k, p in ref.params().items()}
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for t, (a, b) in enumerate([(0, 1), (2, 3), (1, 2), (3, 0)] * 15, start=1):
+            train_step(enc, adam, videos[a], videos[b], desk_hyper, rng)
+            idx_x, idx_y, coupling = step_target(ref, videos[a], videos[b], desk_hyper, ref_rng)
+            clip_x, clip_y = videos[a].data[idx_x], videos[b].data[idx_y]
+            ex, hx = parent_forward(ref, clip_x)
+            ey, hy = parent_forward(ref, clip_y)
+            report = total_loss(ex, ey, coupling.real, None, desk_hyper,
+                                idx_x.astype(np.float64), idx_y.astype(np.float64))
+            gx = parent_backward(ref, clip_x, hx, report.grad_x)
+            gy = parent_backward(ref, clip_y, hy, report.grad_y)
+            grads = {k: gx[k] + gy[k] for k in gx}
+            params = ref.params()
+            textbook_adam(params, m, v, grads, t, desk_hyper.learning_rate, _WEIGHT_DECAY)
+            for name, p in params.items():
+                setattr(ref, name, p)
+        assert adam.step == 60
+        for name, p in enc.params().items():
+            assert rel_err(p, getattr(ref, name)) < 1e-10, name
 
     def test_adam_state_is_built_whole_and_reused(self, rng, desk_hyper):
-        # for_encoder makes every buffer a step uses; train_step allocates none
+        # for_encoder makes every buffer a step uses, one gradient dict
+        # included; train_step allocates none
         videos = toy_videos(rng)
         enc = Encoder.create(videos[0].feature_dim, desk_hyper.embed_dim,
                              desk_hyper.hidden_dim)
@@ -407,14 +471,13 @@ class TestTrainingLoop:
             """(parameter name, buffer) for every buffer the state holds."""
             return ([(k, adam.m[k]) for k in params] + [(k, adam.v[k]) for k in params]
                     + [(k, b) for k in params for b in adam.scratch[k]]
-                    + [(k, d[k]) for d in adam.grads for k in params])
+                    + [(k, adam.grads[k]) for k in params])
 
-        assert len(adam.grads) == 2
-        for held in (adam.m, adam.v, adam.scratch, *adam.grads):
+        for held in (adam.m, adam.v, adam.scratch, adam.grads):
             assert sorted(held) == sorted(params)
         assert all(b.shape == params[k].shape for k, b in buffers())
         made = [b for _, b in buffers()]
-        assert len({id(b) for b in made}) == len(made) == 6 * len(params)
+        assert len({id(b) for b in made}) == len(made) == 5 * len(params)
         assert not any(np.shares_memory(b, p) for b in made for p in params.values())
         for _ in range(2):
             train_step(enc, adam, videos[0], videos[1], desk_hyper, rng)
@@ -431,6 +494,12 @@ class TestTrainingLoop:
         with pytest.raises(ConfigError):
             loss_and_param_grads(enc, videos[0].data[idx_x], videos[1].data[idx_y],
                                  coupling.real, masks, desk_hyper)
+
+    def test_clips_of_different_widths_are_rejected(self, rng, desk_hyper):
+        enc = Encoder.create(4, desk_hyper.embed_dim, desk_hyper.hidden_dim)
+        with pytest.raises(DimMismatch):
+            loss_and_param_grads(enc, rng.normal(size=(6, 4)), rng.normal(size=(6, 3)),
+                                 np.full((6, 6), 1.0 / 36), None, desk_hyper)
 
     def test_train_step_updates_and_logs(self, rng, desk_hyper):
         videos = toy_videos(rng)
@@ -476,7 +545,7 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(Encoder, "forward", counted)
         train_step(enc, AdamState.for_encoder(enc), videos[0], videos[1], desk_hyper, rng)
-        assert calls == [12, 12]
+        assert calls == [24]  # both 12-frame clips, stacked, in one pass
 
     def test_on_target_sees_every_step(self, rng, desk_hyper):
         videos = toy_videos(rng)
