@@ -284,7 +284,10 @@ class Hyperparams:
     sigma counts frames (same units as the frame indices handed to the
     temporal regularizer). Fixed values are constants beside their one
     user: the solver's stopping rule (solver._MAX_OUTER, _SINKHORN_ITERS,
-    _TOL, _INNER_TOL) and Adam's weight decay (training._WEIGHT_DECAY).
+    _TOL, _INNER_TOL) and the forcing term of its inexact inner solves
+    (solver._INNER_FORCING), the Sinkhorn kernel's check period and
+    extrapolation bound (kernels._CHECK and _RHO_MIN, in
+    kernels.sinkhorn_log), and Adam's weight decay (training._WEIGHT_DECAY).
     """
 
     k: int = 7

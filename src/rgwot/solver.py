@@ -1,13 +1,15 @@
 """Entropic fused transport solver.
 
 `sinkhorn` solves the linear entropic problem (`kernels.sinkhorn_log`). `solve_fgwot`
-runs the outer linearization loop: at each step the structural term is
-linearized into G = (1 - alpha) * C_tilde + 2 * alpha * (C_x T C_y) and T is
-replaced by the entropic plan for G, warm-starting the dual potentials. The
-loop stops when the L1 change of T falls below the tolerance, or after the
-first solve when the structural term is zero at every T (alpha = 0, or an
-empty C_x band). A plan the next linearization replaces is solved only as
-accurately as the last plan change asks; a plan it returns is exact.
+decides at entry, right after checking its problem, whether the structural
+term is zero at every T (alpha = 0, or an empty C_x band, as on every training
+clip); such a solve is the one `sinkhorn` solve of (1 - alpha) * C_tilde.
+Otherwise it runs the outer linearization loop: at each step the structural
+term is linearized into G = (1 - alpha) * C_tilde + 2 * alpha * (C_x T C_y)
+and T is replaced by the entropic plan for G, warm-starting the dual
+potentials. The loop stops when the L1 change of T falls below the tolerance.
+A plan the next linearization replaces is solved only as accurately as the
+last plan change asks; a plan it returns is exact.
 
 `sinkhorn` and `solve_fgwot` check their problem once, at entry; each inner
 solve is one `_entropic_plan`, whose potentials and plan are checked finite.
@@ -15,7 +17,7 @@ solve is one `_entropic_plan`, whose potentials and plan are checked finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,15 +92,9 @@ def _entropic_plan(G, logp, logq, epsilon, max_iters, tol, f0, g0, K, out):
     return t, f, g, iters, float(violation)
 
 
-def sinkhorn(G, p, q, epsilon, max_iters: int = _SINKHORN_ITERS,
-             tol: float = _INNER_TOL) -> Coupling:
-    """Entropic OT between histograms p and q for cost G.
-
-    Returns the plan with converged=False (and inner_capped=1) when max_iters
-    ran out before the column-marginal violation reached tol (row marginals
-    are exact after the final row update).
-    """
-    _check_problem(G, p, q, epsilon)
+def _sinkhorn(G, p, q, epsilon, max_iters, tol) -> Coupling:
+    """`sinkhorn` of a checked problem: one entropic solve from zero
+    potentials, in fresh buffers."""
     G = np.ascontiguousarray(G, dtype=np.float64)
     t, _, _, iters, violation = _entropic_plan(
         G, np.log(p), np.log(q), float(epsilon), int(max_iters), float(tol),
@@ -112,6 +108,18 @@ def sinkhorn(G, p, q, epsilon, max_iters: int = _SINKHORN_ITERS,
         inner_capped=int(violation > tol),
         inner_violation=violation,
     )
+
+
+def sinkhorn(G, p, q, epsilon, max_iters: int = _SINKHORN_ITERS,
+             tol: float = _INNER_TOL) -> Coupling:
+    """Entropic OT between histograms p and q for cost G.
+
+    Returns the plan with converged=False (and inner_capped=1) when max_iters
+    ran out before the column-marginal violation reached tol (row marginals
+    are exact after the final row update).
+    """
+    _check_problem(G, p, q, epsilon)
+    return _sinkhorn(G, p, q, epsilon, max_iters, tol)
 
 
 def gw_gradient_fast(band_x, T, band_y) -> np.ndarray:
@@ -182,24 +190,27 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     """Outer loop of the fused solver.
 
     The bundle is checked once, before the first solve; a finite plan and a
-    band value 1/r <= n keep every linearized cost finite. T starts at the
-    product coupling p q^T and the potentials at zero. Each iteration
-    re-linearizes the structural term and re-solves the entropic linear
-    problem with warm potentials; convergence is an L1 change of T at most _TOL.
-    When the structural term is zero at every T, the first plan is the fixed
-    point: the solve is one Sinkhorn solve of (1 - alpha) * C_tilde, reported
-    with final_delta 0 and converged as that inner solve converged.
+    band value 1/r <= n keep every linearized cost finite. Right after the
+    check the solve decides whether the structural term is zero at every T
+    (alpha = 0, or an empty C_x band, as on every training clip). Then the
+    first plan is the fixed point, and the solve is the one entropic solve of
+    (1 - alpha) * C_tilde that `sinkhorn` runs, from zero potentials to
+    _INNER_TOL: reported with outer_iterations 1, final_delta 0, its one
+    objective value, and converged as that solve converged.
 
-    The first linearization, linearization _MAX_OUTER and every one after the
-    objective first rises above the one before are solved to _INNER_TOL. Any
-    other is solved to max(_INNER_TOL, _INNER_FORCING * delta / m) with delta
-    the last L1 plan change; if its objective rises above the one before, it
-    is finished to _INNER_TOL from its own potentials before it is kept. The
-    loop stops on delta <= _TOL only with a plan solved to _INNER_TOL, so the
-    returned plan always is one. The result counts the linearizations whose
-    final inner solve stopped at the sweep cap above the tolerance it was
-    held to, and keeps the worst final column violation of the inner solves
-    held to _INNER_TOL.
+    Otherwise T starts at the product coupling p q^T and the potentials at
+    zero. Each iteration re-linearizes the structural term and re-solves the
+    entropic linear problem with warm potentials; convergence is an L1 change
+    of T at most _TOL. The first linearization, linearization _MAX_OUTER and
+    every one after the objective first rises above the one before are solved
+    to _INNER_TOL. Any other is solved to max(_INNER_TOL, _INNER_FORCING *
+    delta / m) with delta the last L1 plan change; if its objective rises
+    above the one before, it is finished to _INNER_TOL from its own
+    potentials before it is kept. The loop stops on delta <= _TOL only with a
+    plan solved to _INNER_TOL, so the returned plan always is one. The result
+    counts the linearizations whose final inner solve stopped at the sweep
+    cap above the tolerance it was held to, and keeps the worst final column
+    violation of the inner solves held to _INNER_TOL.
     """
     alpha = hyper.alpha
     eps = float(hyper.epsilon)
@@ -209,6 +220,13 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     _check_problem(bundle.C_tilde, p, q, eps)
     if shape != (n + bundle.virtual, m + bundle.virtual):
         raise ShapeMismatch(f"bands ({n}, {m}) do not fit cost {shape}")
+    fused = (1.0 - alpha) * bundle.C_tilde
+    # alpha * C_x T C_y is zero at every T when alpha is 0 or the C_x band is
+    # empty, so the linearized cost never changes and the first plan is the fixed point
+    if alpha == 0.0 or bundle.band_x.radius == 0:
+        c = _sinkhorn(fused, p, q, eps, _SINKHORN_ITERS, _INNER_TOL)
+        return replace(c, outer_iterations=1, final_delta=0.0, virtual=bundle.virtual,
+                       objective_trace=(fgwot_objective(bundle, c.T, alpha, eps).total,))
     logp, logq = np.log(p), np.log(q)
     # Every n x m step of an iteration writes into these buffers, with the
     # operations of the plain expressions in the same order, so the plans
@@ -219,15 +237,12 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
     grad = np.empty(shape)
     product = np.zeros(shape)  # its virtual row and column stay zero
     scratch = np.empty(shape)
-    banded = np.empty(n * m + (n + 1) * (m + 1)) if bundle.band_x.radius > 0 else None
-    fused = (1.0 - alpha) * bundle.C_tilde
+    banded = np.empty(n * m + (n + 1) * (m + 1))
     np.multiply(p[:, None], q[None, :], out=t)  # the product coupling
     f, g = np.zeros(shape[0]), np.zeros(shape[1])
     trace = []
-    delta = np.inf
     converged = False
     risen = False
-    iters = 0
     capped = 0
     worst = 0.0
     _gw_pad(bundle, t, product, banded)
@@ -253,12 +268,6 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
         capped += violation > tol
         if tol == _INNER_TOL:
             worst = max(worst, violation)
-        iters = it
-        # alpha * C_x T C_y is zero at every T when alpha is 0 or the C_x band
-        # is empty, so the linearized cost never changes and t_new is the fixed point
-        if alpha == 0.0 or bundle.band_x.radius == 0:
-            t, delta, converged = t_new, 0.0, violation <= _INNER_TOL
-            break
         np.subtract(t_new, t, out=scratch)
         delta = float(np.abs(scratch, out=scratch).sum())
         t, t_new = t_new, t
@@ -268,7 +277,7 @@ def solve_fgwot(bundle: CostBundle, hyper) -> Coupling:
             break
     return Coupling(
         T=t,
-        outer_iterations=iters,
+        outer_iterations=it,
         converged=converged,
         final_delta=delta,
         objective_trace=tuple(trace),

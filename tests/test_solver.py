@@ -461,6 +461,31 @@ class TestSolveFgwot:
         assert capped.inner_capped == 1
         assert capped.outer_iterations == 1 and capped.final_delta == 0.0
 
+    def test_structure_free_decided_at_entry(self, monkeypatch):
+        # a training solve: two clips of 32 sampled frames at the default
+        # r 0.02 (band radius 0) with the virtual frame. The solve is decided
+        # structure-free before the outer loop: one check, one entropic solve,
+        # and the structural product at most once, for the objective
+        rng = np.random.default_rng(3)
+        hyper = Hyperparams()
+        bundle = build_cost_bundle(rng.normal(size=(32, 16)), rng.normal(size=(32, 16)), hyper)
+        assert bundle.C_tilde.shape == (33, 33) and bundle.band_x.radius == 0
+        checks = []
+        check = solver._check_problem
+
+        def counted(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(solver, "_check_problem", counted)
+        solves = _count_calls(monkeypatch, "sinkhorn_log")
+        products = _count_calls(monkeypatch, "banded_gw_product")
+        c = solve_fgwot(bundle, hyper)
+        assert len(checks) == 1
+        assert len(solves) == 1
+        assert len(products) <= 1
+        assert (c.outer_iterations, c.final_delta, c.converged) == (1, 0.0, True)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_feasibility_of_fused_solution(self, seed):
         rng = np.random.default_rng(seed)
