@@ -77,6 +77,20 @@ def _hyper_from_args(args, manifest) -> Hyperparams:
     return Hyperparams(**overrides)
 
 
+def _open_task(args):
+    """(manifest, hyper, features, labels, out) of a manifest subcommand.
+
+    Loads the manifest and every video of its task, takes the Hyperparams
+    from the flags given, and creates --out, which exists when this returns.
+    """
+    manifest = load_manifest(args.manifest)
+    hyper = _hyper_from_args(args, manifest)
+    features, labels = load_task(manifest)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return manifest, hyper, features, labels, out
+
+
 def _seed(text: str) -> int:
     """argparse type of --seed: numpy seeds are non-negative integers."""
     if not text.isdecimal():
@@ -138,12 +152,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest = load_manifest(args.manifest)
-    hyper = _hyper_from_args(args, manifest)
-    features, _ = load_task(manifest)
+    manifest, hyper, features, _, out = _open_task(args)
     videos = [features[v.video_id] for v in manifest.videos]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     dump_dir = out / "couplings"
     if args.dump_couplings:
@@ -177,17 +187,13 @@ def _print_inner_solves(solves) -> None:
 
 
 def cmd_align(args) -> int:
-    manifest = load_manifest(args.manifest)
-    hyper = _hyper_from_args(args, manifest)
-    features, _ = load_task(manifest)
+    manifest, hyper, features, _, out = _open_task(args)
     x_id, y_id = args.pair
     for vid in (x_id, y_id):
         manifest.entry(vid)  # raises ParseError for unknown ids
     enc = load_encoder(args.checkpoint)
     ex = enc.encode(features[x_id]).data
     ey = enc.encode(features[y_id]).data
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # before the solve, so an unusable --out costs none
     bundle = build_cost_bundle(ex, ey, hyper)
     coupling = solve_fgwot(bundle, hyper)
     write_coupling_csv(coupling.T, out / f"coupling_{x_id}_{y_id}.csv")
@@ -207,12 +213,8 @@ def _write_scores(manifest, predictions, gt_labels, k: int, out: Path, header: s
 
 
 def cmd_segment(args) -> int:
-    manifest = load_manifest(args.manifest)
-    hyper = _hyper_from_args(args, manifest)
-    features, gt_labels = load_task(manifest)
+    manifest, hyper, features, gt_labels, out = _open_task(args)
     videos = [features[v.video_id] for v in manifest.videos]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = f"task={manifest.task_name} k={hyper.k} beta={args.beta} seed={args.seed} " \
         + hyper_header(hyper)
     enc = load_encoder(args.checkpoint)
@@ -250,14 +252,11 @@ def cmd_segment(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = load_manifest(args.manifest)
-    k = manifest.k if args.k is None else args.k
-    _, gt_labels = load_task(manifest)  # evaluate names a video without labels
+    manifest, hyper, _, gt_labels, out = _open_task(args)  # evaluate names a video without labels
     predictions = [load_labels(Path(args.pred_dir) / f"{v.video_id}.labels.txt", v.video_id)
                    for v in manifest.videos]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_scores(manifest, predictions, gt_labels, k, out, f"task={manifest.task_name} k={k}")
+    _write_scores(manifest, predictions, gt_labels, hyper.k, out,
+                  f"task={manifest.task_name} k={hyper.k}")
     return 0
 
 

@@ -2,11 +2,14 @@
 
 Predicted cluster ids carry no meaning on their own, so a single Hungarian
 matching over the whole task (concatenated videos, cost = negative frame
-overlap) maps predictions onto ground-truth steps before counting. With
-fewer clusters than steps, the steps left unmatched score 0. Frames whose
-ground truth is background (-1) are excluded from every count; predicted
-background on a real frame still costs a false negative. Scores are kept
-per key step and as their macro mean over the task, not per video.
+overlap) maps predictions onto ground-truth steps. Each step's counts are
+read off the overlap matrix of that one matching: the matched cluster's
+frames of the step are true positives, its other frames false positives,
+and the step's remaining frames false negatives. With fewer clusters than
+steps, the steps left unmatched score 0. Frames whose ground truth is
+background (-1) are excluded from every count; predicted background on a
+real frame still costs a false negative. Scores are kept per key step and
+as their macro mean over the task, not per video.
 """
 
 from __future__ import annotations
@@ -124,16 +127,6 @@ def _macro(per_step: dict[int, StepMetrics]) -> StepMetrics:
     )
 
 
-def _step_metrics(pred, gt, steps) -> dict[int, StepMetrics]:
-    out = {}
-    for step in steps:
-        tp = int(np.count_nonzero((pred == step) & (gt == step)))
-        fp = int(np.count_nonzero((pred == step) & (gt != step)))
-        fn = int(np.count_nonzero((pred != step) & (gt == step)))
-        out[step] = _counts_to_metrics(tp, fp, fn)
-    return out
-
-
 def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence],
              k: int) -> MetricsReport:
     """Hungarian-matched precision/recall/F1/IoU, macro over gt-present steps."""
@@ -163,12 +156,15 @@ def evaluate(predictions: list[LabelSequence], ground_truth: list[LabelSequence]
     # every cluster gets a step; with fewer clusters than steps the rest stay unmatched
     matching = hungarian(-overlap)
 
-    mapped = np.full(pred_all.shape, BACKGROUND, dtype=np.int64)
-    for pred_id, gt_id in matching:
-        mapped[pred_all == pred_id] = gt_id
-
-    present = sorted(int(s) for s in np.unique(gt_all))
-    per_step = _step_metrics(mapped, gt_all, present)
+    frames = np.bincount(gt_all, minlength=overlap.shape[1])
+    tp = np.zeros_like(frames)  # a step no cluster took keeps tp = fp = 0
+    fp = np.zeros_like(frames)
+    for pred_id, step in matching:
+        tp[step] = overlap[pred_id, step]
+        fp[step] = overlap[pred_id].sum() - tp[step]
+    fn = frames - tp
+    per_step = {s: _counts_to_metrics(int(tp[s]), int(fp[s]), int(fn[s]))
+                for s in np.flatnonzero(frames).tolist()}
     return MetricsReport(matching=tuple(matching), per_step=per_step, macro=_macro(per_step))
 
 

@@ -42,16 +42,20 @@ def write_trace_csv(trace, path) -> None:
             fh.write(f"{i},{v:.17g}\n")
 
 
+def _write_svg(path, width, height, body: list[str]) -> None:
+    """The XML prolog and one width x height <svg> element around the body lines."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+             *body, "</svg>"]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def alignment_svg(T: np.ndarray, path) -> None:
     """Heat band of a coupling; darker cells carry more mass."""
     n, m = T.shape
     top = float(T.max()) if T.size else 1.0
     top = top if top > 0 else 1.0
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{m * _CELL}" height="{n * _CELL}">',
-        f'<rect width="{m * _CELL}" height="{n * _CELL}" fill="#ffffff"/>',
-    ]
+    lines = [f'<rect width="{m * _CELL}" height="{n * _CELL}" fill="#ffffff"/>']
     for i in range(n):
         for j in range(m):
             shade = int(255 * (1.0 - T[i, j] / top))
@@ -62,18 +66,13 @@ def alignment_svg(T: np.ndarray, path) -> None:
                 f'<rect x="{j * _CELL}" y="{i * _CELL}" width="{_CELL}" height="{_CELL}" '
                 f'fill="{color}"/>'
             )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_svg(path, m * _CELL, n * _CELL, lines)
 
 
 def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path) -> None:
     """One colored band per (name, labels) row; BACKGROUND renders grey."""
     palette = step_palette(k)
-    height = _ROW_HEIGHT * len(rows)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}">',
-    ]
+    lines = []
     for r, (name, labels) in enumerate(rows):
         n = len(labels)
         y = r * _ROW_HEIGHT
@@ -91,8 +90,7 @@ def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path) -> None:
                 f'height="{_ROW_HEIGHT - 2}" fill="{color}"/>'
             )
             start = i
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_svg(path, _WIDTH, _ROW_HEIGHT * len(rows), lines)
 
 
 def write_order_report(result, path, header: str) -> None:

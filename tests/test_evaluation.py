@@ -239,6 +239,75 @@ class TestEvaluate:
             assert got == best
 
 
+def _relabel_and_recount(pred, gt, k):
+    """A frame-by-frame scorer, as perfbench/checks.py scores: relabel every
+    predicted frame by the matching, then count each present step over the
+    frames. Returns (matching, {step: (tp, fp, fn, f1, iou)})."""
+    keep = gt != -1
+    p, g = pred[keep], gt[keep]
+    steps = int(g.max()) + 1 if g.size else 0
+    overlap = np.zeros((k, max(k, steps)))
+    valid = (p != -1) & (p < k)
+    np.add.at(overlap, (p[valid], g[valid]), 1.0)
+    matching = hungarian(-overlap)
+    mapped = np.full(p.shape, -1)
+    for pred_id, step in matching:
+        mapped[p == pred_id] = step
+    counts = {}
+    for step in np.unique(g).tolist():
+        tp = int(np.count_nonzero((mapped == step) & (g == step)))
+        fp = int(np.count_nonzero((mapped == step) & (g != step)))
+        fn = int(np.count_nonzero((mapped != step) & (g == step)))
+        f1 = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
+        iou = tp / (tp + fp + fn) if tp else 0.0
+        counts[step] = (tp, fp, fn, f1, iou)
+    return matching, counts
+
+
+class TestEvaluateAgainstRecount:
+    def test_counts_match_relabel_and_recount(self):
+        rng = np.random.default_rng(35)
+        seen = set()
+        for _ in range(1200):
+            videos = int(rng.integers(1, 4))
+            steps = int(rng.integers(1, 7))
+            k = int(rng.integers(1, 9))
+            absent = int(rng.integers(0, steps)) if rng.random() < 0.5 else None
+            gt, pred = [], []
+            for v in range(videos):
+                n = int(rng.integers(1, 30))
+                labels = rng.integers(-1, steps, size=n)
+                if absent is not None:
+                    labels[labels == absent] = -1
+                gt.append(seq(f"v{v}", labels))
+                pred.append(seq(f"v{v}", rng.integers(-1, k + 2, size=n)))
+            gt_all = np.concatenate([s.labels for s in gt])
+            pred_all = np.concatenate([s.labels for s in pred])
+            present = np.unique(gt_all[gt_all != -1])
+            seen.update({
+                "videos=1" if videos == 1 else "videos>1",
+                "k<steps" if k < present.size else "k>steps" if k > present.size else "k=steps",
+            })
+            if (gt_all == -1).any():
+                seen.add("gt background")
+            if present.size and present.size < present.max() + 1:
+                seen.add("step absent")
+            if (pred_all == -1).any() and (pred_all > k).any():
+                seen.add("pred -1 and k + 1")
+
+            report = evaluate(pred, gt, k)
+            matching, counts = _relabel_and_recount(pred_all, gt_all, k)
+            assert report.matching == tuple(matching)
+            assert sorted(report.per_step) == sorted(counts)
+            for step, (tp, fp, fn, f1, iou) in counts.items():
+                m = report.per_step[step]
+                assert (m.tp, m.fp, m.fn) == (tp, fp, fn)
+                assert m.f1 == pytest.approx(f1, abs=1e-12)
+                assert m.iou == iou
+        assert seen == {"videos=1", "videos>1", "k<steps", "k=steps", "k>steps",
+                        "gt background", "step absent", "pred -1 and k + 1"}
+
+
 class TestMetricsCsv:
     def _report(self) -> MetricsReport:
         gt = [seq("a", [0, 0, 1, 1])]
