@@ -5,13 +5,13 @@ key-step labels. The pieces, roughly in pipeline order:
 
 - :mod:`rgwot.data_model`: file formats (RGWF tensors, label files, task
   manifests) and the shared :class:`Hyperparams` record.
-- :mod:`rgwot.priors`: cost matrices, structural bands, the virtual frame
-  and the background mask, which flags the row video's frames of a coupling.
+- :mod:`rgwot.priors`: cost matrices, structural bands and the virtual frame.
 - :mod:`rgwot.solver`: the entropic fused transport solver.
 - :mod:`rgwot.losses` / :mod:`rgwot.encoder` / :mod:`rgwot.training`:
   the contrastive objective and the two-layer encoder trained with it.
-- :mod:`rgwot.segmentation`: clustering plus exact chain Potts smoothing
-  into key-step labels, and step orderings per video.
+- :mod:`rgwot.segmentation`: clustering with a trim of background
+  outliers, exact chain Potts smoothing into key-step labels, and step
+  orderings per video.
 - :mod:`rgwot.evaluation`: Hungarian-matched precision/recall/F1/IoU per
   key step and their macro mean over the task.
 - :mod:`rgwot.synth`: synthetic task generator used by tests and the CLI.
@@ -39,7 +39,7 @@ from .errors import RgwotError
 from .evaluation import MetricsReport, evaluate, hungarian
 from .kernels import active_backend
 from .losses import total_loss
-from .priors import background_mask, build_cost_bundle
+from .priors import build_cost_bundle
 from .segmentation import SegmentationResult, alpha_expansion, segment_task
 from .solver import Coupling, fgwot_objective, sinkhorn, solve_fgwot
 from .synth import SynthTask, generate, profiles
@@ -62,7 +62,6 @@ __all__ = [
     "VideoEntry",
     "active_backend",
     "alpha_expansion",
-    "background_mask",
     "build_cost_bundle",
     "evaluate",
     "fgwot_objective",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data_model import BACKGROUND, Hyperparams, load_labels, load_manifest, load_task, save_labels
 from .encoder import load_encoder, save_encoder
-from .errors import RgwotError
+from .errors import ConfigError, RgwotError
 from .evaluation import evaluate, write_metrics_csv
 from .priors import build_cost_bundle
 from .segmentation import segment_task
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--beta", type=float, default=1.0, help="Potts smoothing weight")
     p.add_argument("--no-masks", action="store_true",
-                   help="skip alignment-based background masking")
+                   help="skip the background trim")
     _add_hyper_flags(p, f"--k {_SOLVER_FLAGS} --zeta")
 
     p = sub.add_parser("eval", help="score predicted labels against the manifest's")
@@ -173,17 +173,12 @@ def cmd_train(args) -> int:
     write_loss_csv(history, out / "loss_curve.csv", hyper)
     final = history[-1].total if history else float("nan")
     print(f"trained {hyper.epochs} epochs ({len(history)} steps), final loss {final:.4f}")
-    _print_inner_solves(solves)
-    print(f"checkpoint: {out / 'encoder.rgwf'}")
-    return 0
-
-
-def _print_inner_solves(solves) -> None:
-    """One line over (inner_capped, outer_iterations, inner_violation) triples."""
     capped = sum(c for c, _, _ in solves)
     inner = sum(n for _, n, _ in solves)
     worst = max((v for _, _, v in solves), default=0.0)
     print(f"inner solves capped {capped} of {inner}, worst inner violation {worst:.2e}")
+    print(f"checkpoint: {out / 'encoder.rgwf'}")
+    return 0
 
 
 def cmd_align(args) -> int:
@@ -219,24 +214,12 @@ def cmd_segment(args) -> int:
         + hyper_header(hyper)
     enc = load_encoder(args.checkpoint)
     rng = np.random.default_rng(args.seed)
-    solves = []  # (capped, outer_iterations, inner_violation) of each mask solve
-    at_cap = []  # per mask solve: stopped at the outer cap
-
-    def on_coupling(coupling):
-        solves.append((coupling.inner_capped, coupling.outer_iterations,
-                       coupling.inner_violation))
-        # the plan still moved when the outer loop ran out; a structure-free
-        # solve stops after its first pass with final_delta 0
-        at_cap.append(not coupling.converged and coupling.final_delta > 0)
-
     result = segment_task(videos, enc, hyper.k, args.beta, hyper, rng,
-                          use_masks=not args.no_masks, on_coupling=on_coupling)
+                          use_masks=not args.no_masks)
     frames = sum(seq.labels.size for seq in result.labels)
-    if solves:
-        _print_inner_solves(solves)
-        masked = sum(int(np.count_nonzero(seq.labels == BACKGROUND)) for seq in result.labels)
-        print(f"masked {masked} of {frames} frames, {sum(at_cap)} of {len(at_cap)} "
-              f"alignment solves stopped at the outer cap")
+    if not args.no_masks and hyper.zeta > 0:
+        flagged = sum(int(np.count_nonzero(seq.labels == BACKGROUND)) for seq in result.labels)
+        print(f"flagged {flagged} of {frames} frames as background")
     print(f"smoothing relabelled {sum(result.relabelled)} of {frames} frames")
     rows = []
     for seq in result.labels:
@@ -255,6 +238,12 @@ def cmd_eval(args) -> int:
     manifest, hyper, _, gt_labels, out = _open_task(args)  # evaluate names a video without labels
     predictions = [load_labels(Path(args.pred_dir) / f"{v.video_id}.labels.txt", v.video_id)
                    for v in manifest.videos]
+    # evaluate scores ids >= k as unmatched; from the command line that is a
+    # k too small for the labels, not a prediction
+    top = max(int(p.labels.max(initial=BACKGROUND)) for p in predictions)
+    if top >= hyper.k:
+        raise ConfigError(f"predicted key-step id {top} is not below k={hyper.k}; "
+                          f"pass --k {top + 1} or more")
     _write_scores(manifest, predictions, gt_labels, hyper.k, out,
                   f"task={manifest.task_name} k={hyper.k}")
     return 0

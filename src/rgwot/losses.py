@@ -5,7 +5,7 @@ as a constant target) and the row softmax of embedding similarities. The
 temporal regularizer pulls time-adjacent frames of a video together and
 pushes the rest at least `lam` apart; it is what keeps the embedding from
 collapsing. Both terms score every frame: background is decided once, by
-`segment`'s mask, and never in the losses. Gradients are exact and checked
+`segment`'s trim, and never in the losses. Gradients are exact and checked
 against finite differences in the tests.
 """
 

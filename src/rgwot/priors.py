@@ -1,6 +1,5 @@
 """Cost construction: visual cost, temporal prior, banded structural priors
-and the virtual frame, all assembled by `build_cost_bundle`; and the
-background mask of a coupling's row video, which `segment` applies.
+and the virtual frame, all assembled by `build_cost_bundle`.
 
 The structural costs are never materialized for large inputs; they are kept
 as band parameters and consumed by the banded kernel. `BandSpec.dense()`
@@ -128,19 +127,3 @@ def build_cost_bundle(X, Y, hyper) -> CostBundle:
                       p=np.full(rows, 1.0 / rows), q=np.full(cols, 1.0 / cols),
                       virtual=hyper.use_virtual)
 
-
-def background_mask(coupling, zeta: float) -> np.ndarray:
-    """Flag the row video's frames with no confident real match in the column video.
-
-    A frame's score is its largest matching probability with any real frame
-    on the other side: max over real columns of T_ij divided by the full row
-    mass (virtual column included). The frame is background when that
-    probability stays below zeta, i.e. not even the best candidate claims a
-    zeta share of the row. zeta = 0 disables masking: a probability can
-    never fall below zero. Returns one boolean per real row.
-    """
-    t, real = coupling.T, coupling.real
-    n = real.shape[0]
-    row_total = t[:n, :].sum(axis=1)
-    row_score = real.max(axis=1) / np.where(row_total > 0, row_total, 1.0)
-    return row_score < zeta

@@ -9,6 +9,11 @@ energy whose unary cost is the squared distance to the cluster centers and
 whose pairwise cost is a Potts penalty on consecutive frames; a Viterbi DP
 with the Potts min trick finds it in O(N*K), over Python floats, since at a
 few labels per frame a numpy call costs more than the arithmetic it does.
+Background is found in the embedding, with no alignment solve: frames far
+from every center of a first clustering of the whole pool are outliers by
+the median/MAD rule (Leys et al. 2013), and the centers are then taken
+again from the remaining frames, as k-means-- does (Chawla and Gionis
+2013). Those frames are labelled BACKGROUND after smoothing.
 Key-step order within a video is the ascending mean normalized frame time
 of each label; the task-level order ranks per-video orders by frequency.
 """
@@ -24,14 +29,16 @@ import numpy as np
 from .data_model import BACKGROUND, FrameFeatures, Hyperparams, LabelSequence
 from .encoder import Encoder
 from .errors import ConfigError, DegenerateData, EmptyVideo
-from .priors import background_mask, build_cost_bundle
-from .solver import solve_fgwot
 
 
 # k-means runs per init_centers call, and the cap on Lloyd rounds per run;
 # a run stops earlier once its assignment repeats
 _RESTARTS = 5
 _LLOYD_ITERS = 100
+# a frame is background when its squared distance to the nearest center
+# lies more than _TRIM robust standard deviations (1.4826 * MAD) above the
+# median of those distances
+_TRIM = 6.0
 # the most rows per block of _row_sq_norms, which makes no N x d temporary
 _BLOCK = 1024
 
@@ -338,29 +345,12 @@ def rank_orders(orders: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
 @dataclass(frozen=True)
 class SegmentationResult:
     labels: tuple[LabelSequence, ...]
-    orders: tuple[tuple[int, ...], ...]  # aligned with labels; empty if fully masked
+    orders: tuple[tuple[int, ...], ...]  # aligned with labels; empty if all background
     task_order: tuple[tuple[tuple[int, ...], int], ...]
     # per video: frames whose smoothed label is not their unary argmin,
-    # counted before the masked frames are set to BACKGROUND
+    # counted before the flagged frames are set to BACKGROUND
     relabelled: tuple[int, ...]
     centers: np.ndarray
-
-
-def compute_segment_masks(embeddings: list[np.ndarray], hyper: Hyperparams,
-                          on_coupling=None) -> list[np.ndarray]:
-    """Background masks from solves of each video against the next (cyclic).
-
-    on_coupling, when given, receives each solved coupling.
-    """
-    v = len(embeddings)
-    masks: list[np.ndarray] = []
-    for i in range(v):
-        bundle = build_cost_bundle(embeddings[i], embeddings[(i + 1) % v], hyper)
-        coupling = solve_fgwot(bundle, hyper)
-        if on_coupling is not None:
-            on_coupling(coupling)
-        masks.append(background_mask(coupling, hyper.zeta))
-    return masks
 
 
 def _unary_costs(e: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -379,38 +369,55 @@ def _unary_costs(e: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return unary
 
 
+def _far_frames(embeddings: list[np.ndarray], centers: np.ndarray) -> np.ndarray:
+    """Mask of the frames whose squared distance to the nearest center is an
+    outlier, over the frames of all the embeddings in order.
+
+    The cut is median + _TRIM * 1.4826 * MAD of those distances. It lies at
+    or above the median, so at most half of the frames are flagged, also
+    when the MAD is 0. The distances are taken a video at a time, so the
+    work buffer of _unary_costs is never pool-sized.
+    """
+    d = np.concatenate([_unary_costs(e, centers).min(axis=1) for e in embeddings])
+    median = np.median(d)
+    return d > median + _TRIM * 1.4826 * np.median(np.abs(d - median))
+
+
 def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
                  beta: float, hyper: Hyperparams, rng: np.random.Generator,
-                 use_masks: bool = True, on_coupling=None) -> SegmentationResult:
+                 use_masks: bool = True) -> SegmentationResult:
     """Full segmentation of one task with a trained encoder.
 
-    With use_masks, background frames are detected by pairwise alignment
-    first, excluded from clustering, and forced to label BACKGROUND.
-    on_coupling, when given, receives the coupling of each of those solves.
+    Every frame of the task is clustered at k. With use_masks and
+    hyper.zeta > 0, the frames far from every center (_far_frames) are
+    background: when there are any, the centers are taken again from the
+    other frames, and after smoothing the far frames are labelled
+    BACKGROUND. Either way no alignment is solved.
 
     The videos are encoded into one (total frames, embed_dim) float64
     buffer, of which each video's embeddings are a row view. k-means
-    clusters that buffer itself when no frame is masked, and a copy of its
-    unmasked rows otherwise; these are the only N x embed_dim arrays made.
+    clusters that buffer itself, and a copy of its unflagged rows when a
+    frame is flagged; these are the only N x embed_dim arrays made.
     """
-    _check_potts_weight(beta)  # before the alignment solves, not after
+    _check_potts_weight(beta)  # before the clustering, not after
     frames = np.empty((sum(v.n_frames for v in videos), enc.embed_dim))
     embeddings = []
     start = 0
     for v in videos:
         embeddings.append(enc.forward(v.data, out=frames[start:start + v.n_frames])[0])
         start += v.n_frames
-    if use_masks and hyper.zeta > 0 and len(videos) >= 2:
-        masks = compute_segment_masks(embeddings, hyper, on_coupling)
-    else:
-        masks = [np.zeros(e.shape[0], dtype=bool) for e in embeddings]
-    keep = ~np.concatenate(masks)
-    centers = init_centers(frames if keep.all() else frames[keep], k, rng)
+    centers = init_centers(frames, k, rng)
+    flagged = np.zeros(frames.shape[0], dtype=bool)
+    if use_masks and hyper.zeta > 0:
+        flagged = _far_frames(embeddings, centers)
+        if flagged.any():
+            centers = init_centers(frames[~flagged], k, rng)
 
     label_seqs = []
     orders = []
     relabelled = []
-    for video, e, mask in zip(videos, embeddings, masks):
+    far = np.split(flagged, np.cumsum([e.shape[0] for e in embeddings])[:-1])
+    for video, e, mask in zip(videos, embeddings, far):
         unary = _unary_costs(e, centers)
         labels, _ = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
         relabelled.append(int(np.count_nonzero(labels != np.argmin(unary, axis=1))))

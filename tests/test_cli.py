@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rgwot import cli, segmentation, solver, training
+from rgwot import cli, priors, segmentation, solver, training
 from rgwot.cli import _HYPER_FLAGS, main
 from rgwot.data_model import Hyperparams, load_labels, load_manifest, write_rgwf
 from rgwot.encoder import load_encoder
@@ -260,68 +260,37 @@ class TestSegmentAndEval:
             name = f"{entry.video_id}.labels.txt"
             assert (out / name).read_text() == (segmented / name).read_text()
 
-    def test_reports_inner_solves_of_the_masks(self, task_dir, trained_dir, tmp_path,
-                                               capsys, monkeypatch):
-        couplings = []
+    def test_default_segment_makes_no_solve(self, task_dir, trained_dir, tmp_path,
+                                            monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("segment solved an alignment")
 
-        def recorded(bundle, hyper):
-            couplings.append(solve_fgwot(bundle, hyper))
-            return couplings[-1]
+        for module in (solver, training, cli):
+            monkeypatch.setattr(module, "solve_fgwot", refused)
+        for module in (priors, training, cli):
+            monkeypatch.setattr(module, "build_cost_bundle", refused)
+        assert main(["segment", "--manifest", str(task_dir),
+                     "--checkpoint", str(trained_dir / "encoder.rgwf"),
+                     "--out", str(tmp_path), "--seed", "0"]) == 0
 
-        monkeypatch.setattr(segmentation, "solve_fgwot", recorded)
+    def test_reports_frames_flagged_as_background(self, task_dir, trained_dir, tmp_path,
+                                                  capsys):
         argv = ["segment", "--manifest", str(task_dir),
                 "--checkpoint", str(trained_dir / "encoder.rgwf"), "--seed", "0"]
-        assert main(argv + ["--out", str(tmp_path / "masked")]) == 0
-        assert len(couplings) == 4  # each video against the next
-        capped = sum(c.inner_capped for c in couplings)
-        solves = sum(c.outer_iterations for c in couplings)
-        worst = max(c.inner_violation for c in couplings)
-        lines = capsys.readouterr().out.splitlines()
-        assert f"inner solves capped {capped} of {solves}, worst inner violation {worst:.2e}" \
-            in lines
-        assert main(argv + ["--out", str(tmp_path / "plain"), "--no-masks"]) == 0
-        assert len(couplings) == 4
-        lines = capsys.readouterr().out.splitlines()
-        assert not any(ln.startswith("inner solves") for ln in lines)
-
-    def test_reports_masked_frames_and_outer_capped_solves(self, task_dir, trained_dir,
-                                                           tmp_path, capsys, monkeypatch):
-        solves = []
-
-        def recorded(bundle, hyper):
-            solves.append((bundle, solve_fgwot(bundle, hyper)))
-            return solves[-1][1]
-
-        monkeypatch.setattr(segmentation, "solve_fgwot", recorded)
-        argv = ["segment", "--manifest", str(task_dir),
-                "--checkpoint", str(trained_dir / "encoder.rgwf"), "--seed", "0"]
-        out = tmp_path / "masked"
+        out = tmp_path / "trimmed"
         assert main(argv + ["--out", str(out)]) == 0
-        assert len(solves) == 4
-        # masked frames are the ones labelled background
+        # the flagged frames are the ones labelled background
         labels = [load_labels(out / f"{e.video_id}.labels.txt", e.video_id).labels
                   for e in load_manifest(task_dir).videos]
-        masked = sum(int(np.count_nonzero(seq == -1)) for seq in labels)
+        flagged = sum(int(np.count_nonzero(seq == -1)) for seq in labels)
         frames = sum(seq.size for seq in labels)
-        assert 0 < masked < frames
-        at_cap = sum(c.outer_iterations == solver._MAX_OUTER and not c.converged
-                     for _, c in solves)
-        assert at_cap > 0
-        lines = capsys.readouterr().out.splitlines()
-        assert f"masked {masked} of {frames} frames, {at_cap} of 4 alignment solves " \
-            "stopped at the outer cap" in lines
-        # below a negative outer tolerance every solve with a structural term
-        # runs to the cap; one without stops after its first pass
-        monkeypatch.setattr(solver, "_TOL", -1.0)
-        assert main(argv + ["--out", str(tmp_path / "no-tol")]) == 0
-        structured = [bundle.band_x.radius > 0 for bundle, _ in solves[4:]]
-        assert 0 < sum(structured) < 4
-        assert [c.outer_iterations for _, c in solves[4:]] \
-            == [solver._MAX_OUTER if s else 1 for s in structured]
-        assert any(ln.endswith(f", {sum(structured)} of 4 alignment solves stopped at the "
-                               "outer cap") for ln in capsys.readouterr().out.splitlines())
-        assert main(argv + ["--out", str(tmp_path / "plain"), "--no-masks"]) == 0
-        assert not any(ln.startswith("masked") for ln in capsys.readouterr().out.splitlines())
+        assert 0 < flagged < frames / 2
+        assert f"flagged {flagged} of {frames} frames as background" \
+            in capsys.readouterr().out.splitlines()
+        for flags in (["--no-masks"], ["--zeta", "0"]):
+            assert main(argv + ["--out", str(tmp_path / "plain")] + flags) == 0
+            assert not any(ln.startswith("flagged")
+                           for ln in capsys.readouterr().out.splitlines())
 
     def test_reports_frames_relabelled_by_smoothing(self, task_dir, trained_dir, tmp_path,
                                                      capsys, monkeypatch):
@@ -393,6 +362,21 @@ class TestSegmentAndEval:
         rc = main(["eval", "--manifest", str(task_dir), "--pred-dir", str(preds),
                    "--out", str(tmp_path / "eval"), "--k", "2"])
         assert rc == 0
+        assert "macro F1" in capsys.readouterr().out
+
+    def test_eval_stops_on_ids_the_k_does_not_cover(self, task_dir, tmp_path, capsys):
+        # id 3 on the k-3 task: evaluate would score it as unmatched, silently
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for entry in load_manifest(task_dir).videos:
+            n_frames = load_labels(entry.labels_path).labels.size
+            (preds / f"{entry.video_id}.labels.txt").write_text("3\n" + "0\n" * (n_frames - 1))
+        argv = ["eval", "--manifest", str(task_dir), "--pred-dir", str(preds)]
+        assert main(argv + ["--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "id 3" in err and "--k 4" in err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+        assert main(argv + ["--out", str(tmp_path / "eval-k4"), "--k", "4"]) == 0
         assert "macro F1" in capsys.readouterr().out
 
     def test_eval_without_inputs_errors(self, task_dir, tmp_path, capsys):

@@ -12,7 +12,6 @@ from rgwot import segmentation
 from rgwot.data_model import BACKGROUND, FrameFeatures, Hyperparams
 from rgwot.encoder import Encoder
 from rgwot.errors import ConfigError, DegenerateData, EmptyVideo
-from rgwot.priors import background_mask
 from rgwot.segmentation import (
     GraphCutProblem,
     alpha_expansion,
@@ -814,10 +813,13 @@ class TestUnaryCosts:
 def parent_segment_task(videos, enc, k, beta, masks, rng):
     """segment_task's clustering and labeling as they were: a new array per
     video's embeddings, the pool their unmasked rows concatenated, and the
-    unary costs from the N x k x d difference. Returns (labels, centers,
-    relabelled)."""
+    unary costs from the N x k x d difference. When a frame is masked, a
+    clustering of every frame draws from rng first, as the trim's does.
+    Returns (labels, centers, relabelled)."""
     embeddings = [np.tanh(np.asarray(v.data, dtype=np.float64) @ enc.w1 + enc.b1) @ enc.w2
                   + enc.b2 for v in videos]
+    if any(m.any() for m in masks):
+        init_centers(np.concatenate(embeddings), k, rng)
     pool = np.concatenate([e[~m] for e, m in zip(embeddings, masks)], axis=0)
     centers = init_centers(pool, k, rng)
     labels, relabelled = [], []
@@ -839,6 +841,21 @@ def step_videos(n_videos, frames, dim, k, seed):
             for v in range(n_videos)]
 
 
+def with_far_frames(videos, count, seed):
+    """videos with count frames of each replaced by scattered far outliers,
+    and per video the mask of those frames."""
+    g = np.random.default_rng(seed)
+    out, masks = [], []
+    for v in videos:
+        data = np.array(v.data)
+        mask = np.zeros(v.n_frames, dtype=bool)
+        mask[g.choice(v.n_frames, size=count, replace=False)] = True
+        data[mask] = 8.0 * g.normal(size=(count, data.shape[1]))
+        out.append(FrameFeatures(v.video_id, data))
+        masks.append(mask)
+    return out, masks
+
+
 class TestSegmentTask:
     @pytest.fixture
     def hyper(self):
@@ -855,8 +872,8 @@ class TestSegmentTask:
             masks = [g.random(v.n_frames) < 0.3 for v in videos]
         if masking == "one video whole":
             masks[1][:] = True
-        monkeypatch.setattr(segmentation, "compute_segment_masks",
-                            lambda embeddings, hyper, on_coupling: masks)
+        monkeypatch.setattr(segmentation, "_far_frames",
+                            lambda embeddings, centers: np.concatenate(masks))
         hyper = Hyperparams(embed_dim=16, hidden_dim=32, zeta=0.5)
         res = segment_task(videos, enc, k=5, beta=2.0, hyper=hyper,
                            rng=np.random.default_rng(6), use_masks=masking != "none")
@@ -882,6 +899,17 @@ class TestSegmentTask:
         pool = np.concatenate([enc.forward(v.data)[0] for v in videos])
         _, peak = traced_peak(init_centers, pool, 7, np.random.default_rng(0))
         assert peak <= 0.5 * pool_bytes, peak / pool_bytes
+
+    def test_trim_adds_only_the_unflagged_copy(self):
+        # the frame buffer, the copy of its unflagged rows that k-means
+        # clusters again, and at most init_centers' own 0.5x
+        videos, _ = with_far_frames(step_videos(8, 2000, 24, 7, seed=0), 50, seed=1)
+        enc = Encoder.create(24, 128, 256)
+        pool_bytes = 8 * 2000 * 128 * 8
+        res, peak = traced_peak(segment_task, videos, enc, 7, 1.0, Hyperparams(),
+                                np.random.default_rng(0), True)
+        assert any(np.any(s.labels == BACKGROUND) for s in res.labels)
+        assert peak <= 2.6 * pool_bytes, peak / pool_bytes
 
     def test_recovers_contiguous_steps(self, hyper):
         videos = blob_videos()
@@ -935,56 +963,59 @@ class TestSegmentTask:
                            rng=np.random.default_rng(0), use_masks=True)
         assert all(np.all(s.labels >= 0) for s in res.labels)
 
-    def test_single_video_skips_masking(self):
-        hyper = Hyperparams(embed_dim=8, hidden_dim=8, zeta=0.5)
-        videos = blob_videos(n_videos=1)
-        res = segment_task(videos, axis_encoder(8), k=3, beta=0.1, hyper=hyper,
+    def test_single_video_is_trimmed(self):
+        # the trim needs no partner video
+        videos, far = with_far_frames(step_videos(1, 300, 24, 5, seed=2), 12, seed=3)
+        res = segment_task(videos, axis_encoder(24), k=5, beta=1.0, hyper=Hyperparams(),
                            rng=np.random.default_rng(0), use_masks=True)
-        assert np.all(res.labels[0].labels >= 0)
+        assert np.array_equal(res.labels[0].labels == BACKGROUND, far[0])
 
     def test_unmatched_frames_become_background(self):
-        """A frame anti-aligned with every frame of the partner video routes its
-        coupling mass to the virtual frame and must come back labeled -1; the
-        partner's own orphaned first frame is masked symmetrically."""
-        d = 12
-        eye = np.eye(d, dtype=np.float32)
-        alien = (-np.ones(d) / np.sqrt(d)).astype(np.float32)
-        videos = [
-            FrameFeatures("with-alien", np.vstack([alien, eye[1:]])),
-            FrameFeatures("plain", eye.copy()),
-        ]
-        hyper = Hyperparams(embed_dim=d, hidden_dim=d, zeta=0.5)
-        res = segment_task(videos, axis_encoder(d), k=2, beta=0.0, hyper=hyper,
+        """Frames that belong to no key step lie far from every center of the
+        first clustering; they come back labelled -1, and every other frame
+        keeps a key-step label."""
+        videos, far = with_far_frames(step_videos(3, 200, 24, 5, seed=1), 10, seed=2)
+        res = segment_task(videos, axis_encoder(24), k=5, beta=1.0, hyper=Hyperparams(),
                            rng=np.random.default_rng(0), use_masks=True)
-        for seq in res.labels:
-            assert seq.labels[0] == -1
-            assert np.all(seq.labels[1:] >= 0)
-        # at beta 0 smoothing changes no label; the masked frames do not count
-        assert res.relabelled == (0, 0)
-
-    def test_masks_without_virtual_frame(self):
-        """use_virtual=False still masks: with no virtual frame, four identical
-        alien frames share the four orphaned frames of the partner video, so
-        no single match claims half of their mass on either side."""
-        d = 12
-        eye = np.eye(d, dtype=np.float32)
-        alien = (-np.ones(d) / np.sqrt(d)).astype(np.float32)
-        videos = [
-            FrameFeatures("with-aliens", np.vstack([alien] * 4 + [eye[4:]])),
-            FrameFeatures("plain", eye.copy()),
-        ]
-        hyper = Hyperparams(embed_dim=d, hidden_dim=d, zeta=0.5, use_virtual=False)
-        couplings = []
-        res = segment_task(videos, axis_encoder(d), k=2, beta=0.0, hyper=hyper,
-                           rng=np.random.default_rng(0), use_masks=True,
-                           on_coupling=couplings.append)
-        assert len(couplings) == len(videos)
-        assert not any(c.virtual for c in couplings)
-        flagged = [background_mask(c, hyper.zeta) for c in couplings]
-        assert all(np.array_equal(mask[:4], [True] * 4) for mask in flagged)
-        for seq, mask in zip(res.labels, flagged):
+        for seq, mask in zip(res.labels, far):
             assert np.all(seq.labels[mask] == BACKGROUND)
             assert np.all(seq.labels[~mask] >= 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pool_without_background_flags_few(self, seed):
+        videos = step_videos(4, 150, 24, 5, seed=seed)
+        res = segment_task(videos, axis_encoder(24), k=5, beta=1.0, hyper=Hyperparams(),
+                           rng=np.random.default_rng(seed), use_masks=True)
+        flagged = sum(int(np.count_nonzero(s.labels == BACKGROUND)) for s in res.labels)
+        assert flagged <= 0.05 * 600, flagged
+
+    def test_flags_at_most_half_of_any_pool(self):
+        g = np.random.default_rng(0)
+        mad_zero = 0
+        for trial in range(300):
+            n, d = int(g.integers(1, 60)), int(g.integers(1, 5))
+            pts = g.normal(size=(n, d)) * g.uniform(1e-3, 1e3)
+            if trial % 2:
+                # a few distinct points, many copies of the first
+                pick = g.integers(0, min(4, n), size=(2, n))
+                pts = pts[pick.min(axis=0)]
+            k = int(g.integers(1, np.unique(pts, axis=0).shape[0] + 1))
+            centers = init_centers(pts, k, g)
+            flagged = segmentation._far_frames([pts], centers)
+            assert flagged.dtype == bool and flagged.shape == (n,)
+            assert 2 * np.count_nonzero(flagged) <= n, (trial, np.count_nonzero(flagged), n)
+            dist = segmentation._unary_costs(pts, centers).min(axis=1)
+            mad_zero += np.median(np.abs(dist - np.median(dist))) == 0
+        assert mad_zero > 20  # the duplicate pools reach the MAD-0 edge
+
+    def test_virtual_frame_leaves_segment_unchanged(self):
+        videos, _ = with_far_frames(step_videos(2, 100, 24, 5, seed=4), 5, seed=5)
+        results = [segment_task(videos, axis_encoder(24), k=5, beta=1.0,
+                                hyper=Hyperparams(use_virtual=virtual),
+                                rng=np.random.default_rng(0), use_masks=True)
+                   for virtual in (True, False)]
+        for a, b in zip(*(r.labels for r in results)):
+            assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_too_few_frames_without_masks_names_the_count(self, hyper):
         # 6 frames cannot seed 7 clusters; nothing was masked, so the error
@@ -993,12 +1024,3 @@ class TestSegmentTask:
         with pytest.raises(DegenerateData, match="need at least 7 distinct points, got 6"):
             segment_task(videos, axis_encoder(8), k=7, beta=0.1, hyper=hyper,
                          rng=np.random.default_rng(0), use_masks=False)
-
-    def test_everything_masked_raises(self):
-        # entropic couplings keep mass off the best cell, so no frame can
-        # reach a match probability of 1.0
-        hyper = Hyperparams(embed_dim=8, hidden_dim=8, zeta=1.0)
-        videos = blob_videos()
-        with pytest.raises(DegenerateData):
-            segment_task(videos, axis_encoder(8), k=3, beta=0.1, hyper=hyper,
-                         rng=np.random.default_rng(0), use_masks=True)
