@@ -27,7 +27,7 @@ from .priors import build_cost_bundle
 from .segmentation import segment_task
 from .solver import solve_fgwot
 from .synth import profiles, write_task
-from .training import hyper_header, train, write_loss_csv
+from .training import train, write_loss_csv
 from .viz import (
     alignment_svg,
     segmentation_svg,
@@ -55,6 +55,7 @@ _HYPER_FLAGS = {
     "--no-virtual": dict(dest="use_virtual", action="store_false",
                          help="disable the virtual background frame"),
 }
+# the flags of solve_fgwot's problem: segment solves none, so takes none
 _SOLVER_FLAGS = "--alpha --epsilon --rho --r --no-virtual"
 # training scores every sampled frame, so train's --zeta only sets the value
 # its sidecar and loss-curve header record; perfbench's fixed train command
@@ -131,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0, help="Potts smoothing weight")
     p.add_argument("--no-masks", action="store_true",
                    help="skip the background trim")
-    _add_hyper_flags(p, f"--k {_SOLVER_FLAGS} --zeta")
+    # --zeta > 0 turns the trim on; its value is not read otherwise
+    _add_hyper_flags(p, "--k --zeta")
 
     p = sub.add_parser("eval", help="score predicted labels against the manifest's")
     p.add_argument("--manifest", required=True)
@@ -210,16 +212,15 @@ def _write_scores(manifest, predictions, gt_labels, k: int, out: Path, header: s
 def cmd_segment(args) -> int:
     manifest, hyper, features, gt_labels, out = _open_task(args)
     videos = [features[v.video_id] for v in manifest.videos]
-    header = f"task={manifest.task_name} k={hyper.k} beta={args.beta} seed={args.seed} " \
-        + hyper_header(hyper)
     enc = load_encoder(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     result = segment_task(videos, enc, hyper.k, args.beta, hyper, rng,
                           use_masks=not args.no_masks)
+    header = f"task={manifest.task_name} k={hyper.k} beta={args.beta} seed={args.seed} " \
+        f"trim={'off' if result.flagged is None else 'on'}"
     frames = sum(seq.labels.size for seq in result.labels)
-    if not args.no_masks and hyper.zeta > 0:
-        flagged = sum(int(np.count_nonzero(seq.labels == BACKGROUND)) for seq in result.labels)
-        print(f"flagged {flagged} of {frames} frames as background")
+    if result.flagged is not None:
+        print(f"flagged {result.flagged} of {frames} frames as background")
     print(f"smoothing relabelled {sum(result.relabelled)} of {frames} frames")
     rows = []
     for seq in result.labels:

@@ -134,8 +134,8 @@ def load_features(path, video_id: str | None = None) -> FrameFeatures:
 
 def save_labels(labels: LabelSequence, path) -> None:
     with open(path, "w") as fh:
-        for v in labels.labels:
-            fh.write(f"{int(v)}\n")
+        for v in labels.labels.tolist():
+            fh.write(f"{v}\n")
 
 
 def load_labels(path, video_id: str | None = None) -> LabelSequence:

@@ -350,6 +350,8 @@ class SegmentationResult:
     # per video: frames whose smoothed label is not their unary argmin,
     # counted before the flagged frames are set to BACKGROUND
     relabelled: tuple[int, ...]
+    # frames the trim flagged as background; None when the trim did not run
+    flagged: int | None
     centers: np.ndarray
 
 
@@ -392,7 +394,8 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     hyper.zeta > 0, the frames far from every center (_far_frames) are
     background: when there are any, the centers are taken again from the
     other frames, and after smoothing the far frames are labelled
-    BACKGROUND. Either way no alignment is solved.
+    BACKGROUND; the result's flagged counts them, and is None without the
+    trim. Either way no alignment is solved.
 
     The videos are encoded into one (total frames, embed_dim) float64
     buffer, of which each video's embeddings are a row view. k-means
@@ -407,11 +410,10 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
         embeddings.append(enc.forward(v.data, out=frames[start:start + v.n_frames])[0])
         start += v.n_frames
     centers = init_centers(frames, k, rng)
-    flagged = np.zeros(frames.shape[0], dtype=bool)
-    if use_masks and hyper.zeta > 0:
-        flagged = _far_frames(embeddings, centers)
-        if flagged.any():
-            centers = init_centers(frames[~flagged], k, rng)
+    trim = use_masks and hyper.zeta > 0
+    flagged = _far_frames(embeddings, centers) if trim else np.zeros(len(frames), dtype=bool)
+    if flagged.any():
+        centers = init_centers(frames[~flagged], k, rng)
 
     label_seqs = []
     orders = []
@@ -433,5 +435,6 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
         orders=tuple(orders),
         task_order=tuple(ranked),
         relabelled=tuple(relabelled),
+        flagged=int(np.count_nonzero(flagged)) if trim else None,
         centers=centers,
     )

@@ -165,16 +165,18 @@ def fgwot_objective(bundle: CostBundle, T, alpha: float, epsilon: float,
     total = (1 - alpha) <C_tilde, T> + alpha <C_x T C_y, T> - epsilon * H(T)
     with H(T) = -sum T log T. gw_product, when given, is the structural
     product C_x T C_y of this T as solve_fgwot computes it (zero on the
-    virtual frame), so that it is not computed twice. out, when given, is a
-    C-contiguous scratch buffer shaped like T for the elementwise terms.
+    virtual frame), so that it is not computed twice. Without it, a bundle
+    whose C_x band is empty takes the structural term as 0.0, the value the
+    zero product gives, without computing the product. out, when given, is
+    a C-contiguous scratch buffer shaped like T for the elementwise terms.
     """
     if gw_product is None:
         if T.shape != bundle.C_tilde.shape:
             raise ShapeMismatch(f"plan {T.shape} does not match cost {bundle.C_tilde.shape}")
-        gw_product = _gw_pad(bundle, T)
+        gw_product = _gw_pad(bundle, T) if bundle.band_x.radius > 0 else None
     buf = np.empty(T.shape) if out is None else out
     kot = float(np.sum(np.multiply(bundle.C_tilde, T, out=buf)))
-    gw = float(np.sum(np.multiply(gw_product, T, out=buf)))
+    gw = 0.0 if gw_product is None else float(np.sum(np.multiply(gw_product, T, out=buf)))
     # T log T where T > 0 and 0 elsewhere
     positive = T > 0
     with np.errstate(divide="ignore", invalid="ignore"):

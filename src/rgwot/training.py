@@ -113,13 +113,10 @@ def train(videos: list[FrameFeatures], hyper: Hyperparams, rng: np.random.Genera
 
 
 def write_loss_csv(history: list[StepRecord], path, hyper: Hyperparams) -> None:
+    """A header line naming every Hyperparams field, then one row per step."""
+    items = " ".join(f"{k}={v}" for k, v in sorted(vars(hyper).items()))
     with open(path, "w") as fh:
-        fh.write(f"# {hyper_header(hyper)}\n")
+        fh.write(f"# hyperparams: {items}\n")
         fh.write("step,align,reg_x,reg_y,total\n")
         for i, rep in enumerate(history):
             fh.write(f"{i},{rep.align:.10g},{rep.reg_x:.10g},{rep.reg_y:.10g},{rep.total:.10g}\n")
-
-
-def hyper_header(hyper: Hyperparams) -> str:
-    items = [f"{k}={v}" for k, v in sorted(vars(hyper).items())]
-    return "hyperparams: " + " ".join(items)

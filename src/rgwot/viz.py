@@ -74,6 +74,7 @@ def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path) -> None:
     palette = step_palette(k)
     lines = []
     for r, (name, labels) in enumerate(rows):
+        labels = labels.tolist()
         n = len(labels)
         y = r * _ROW_HEIGHT
         lines.append(f"<!-- {name} -->")
@@ -81,7 +82,7 @@ def segmentation_svg(rows: list[tuple[str, np.ndarray]], k: int, path) -> None:
         for i in range(1, n + 1):
             if i < n and labels[i] == labels[start]:
                 continue
-            label = int(labels[start])
+            label = labels[start]
             color = BACKGROUND_COLOR if label == BACKGROUND else palette[label % k]
             x0 = start * _WIDTH / n
             x1 = i * _WIDTH / n

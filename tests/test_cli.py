@@ -292,6 +292,33 @@ class TestSegmentAndEval:
             assert not any(ln.startswith("flagged")
                            for ln in capsys.readouterr().out.splitlines())
 
+    def test_trim_reads_only_whether_zeta_is_positive(self, task_dir, trained_dir, tmp_path,
+                                                      capsys):
+        argv = ["segment", "--manifest", str(task_dir),
+                "--checkpoint", str(trained_dir / "encoder.rgwf"), "--seed", "0"]
+        outputs, lines = [], []
+        for zeta in ("0.01", "1"):
+            out = tmp_path / f"zeta-{zeta}"
+            assert main(argv + ["--zeta", zeta, "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+            lines.append([ln for ln in capsys.readouterr().out.splitlines()
+                          if ln.startswith("flagged")])
+        assert outputs[0] == outputs[1]
+        assert {"segmentation.svg", "metrics.csv", "video_00.labels.txt"} <= set(outputs[0])
+        assert lines[0] == lines[1] and len(lines[0]) == 1
+
+    @pytest.mark.parametrize("flags, trim", [([], "on"), (["--zeta", "0"], "off"),
+                                             (["--no-masks"], "off")])
+    def test_header_names_only_what_segment_reads(self, flags, trim, task_dir, trained_dir,
+                                                  tmp_path):
+        out = tmp_path / "seg"
+        assert main(["segment", "--manifest", str(task_dir),
+                     "--checkpoint", str(trained_dir / "encoder.rgwf"),
+                     "--out", str(out), "--beta", "0.5", "--seed", "4"] + flags) == 0
+        report = (out / "order_report.txt").read_text().splitlines()[0]
+        metrics = (out / "metrics.csv").read_text().splitlines()[0]
+        assert report == metrics == f"# task=toy k=3 beta=0.5 seed=4 trim={trim}"
+
     def test_reports_frames_relabelled_by_smoothing(self, task_dir, trained_dir, tmp_path,
                                                      capsys, monkeypatch):
         frames = sum(load_labels(e.labels_path, e.video_id).labels.size
@@ -386,7 +413,9 @@ class TestSegmentAndEval:
 
 
 @pytest.mark.parametrize("removed", [
-    "segment --epochs 5", "segment --sigma 1", "align --seed 0", "align --zeta 0",
+    "segment --epochs 5", "segment --sigma 1", "segment --alpha 0.5", "segment --epsilon 0.1",
+    "segment --rho 1", "segment --r 0.1", "segment --no-virtual",
+    "align --seed 0", "align --zeta 0",
     "align --k 3", "train --k 3", "eval --checkpoint CKPT", "eval --beta 1", "eval --seed 0",
 ])
 def test_flag_the_command_does_not_read_is_a_usage_error(removed, task_dir, trained_dir,

@@ -18,7 +18,6 @@ from rgwot.solver import solve_fgwot
 from rgwot.losses import total_loss
 from rgwot.training import (
     _WEIGHT_DECAY,
-    hyper_header,
     loss_and_param_grads,
     sample_frames,
     train,
@@ -591,7 +590,11 @@ class TestTrainingLoop:
         _, history = train(videos, desk_hyper, rng)
         write_loss_csv(history, tmp_path / "curve.csv", desk_hyper)
         lines = (tmp_path / "curve.csv").read_text().splitlines()
-        assert lines[0] == f"# {hyper_header(desk_hyper)}"
+        # every Hyperparams field, in name order
+        assert lines[0].startswith("# hyperparams: ")
+        items = [item.split("=") for item in lines[0].split()[2:]]
+        assert [name for name, _ in items] == sorted(vars(desk_hyper))
+        assert dict(items) == {k: str(v) for k, v in vars(desk_hyper).items()}
         assert lines[1] == "step,align,reg_x,reg_y,total"
         rows = lines[2:]
         assert len(rows) == len(history)

@@ -956,12 +956,14 @@ class TestSegmentTask:
         res = segment_task(videos, axis_encoder(8), k=3, beta=0.1, hyper=hyper,
                            rng=np.random.default_rng(0), use_masks=False)
         assert all(np.all(s.labels >= 0) for s in res.labels)
+        assert res.flagged is None
 
     def test_zeta_zero_never_masks(self, hyper):
         videos = blob_videos()
         res = segment_task(videos, axis_encoder(8), k=3, beta=0.1, hyper=hyper,
                            rng=np.random.default_rng(0), use_masks=True)
         assert all(np.all(s.labels >= 0) for s in res.labels)
+        assert res.flagged is None
 
     def test_single_video_is_trimmed(self):
         # the trim needs no partner video
@@ -980,6 +982,7 @@ class TestSegmentTask:
         for seq, mask in zip(res.labels, far):
             assert np.all(seq.labels[mask] == BACKGROUND)
             assert np.all(seq.labels[~mask] >= 0)
+        assert res.flagged == sum(int(mask.sum()) for mask in far)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pool_without_background_flags_few(self, seed):
@@ -987,7 +990,7 @@ class TestSegmentTask:
         res = segment_task(videos, axis_encoder(24), k=5, beta=1.0, hyper=Hyperparams(),
                            rng=np.random.default_rng(seed), use_masks=True)
         flagged = sum(int(np.count_nonzero(s.labels == BACKGROUND)) for s in res.labels)
-        assert flagged <= 0.05 * 600, flagged
+        assert res.flagged == flagged <= 0.05 * 600, flagged
 
     def test_flags_at_most_half_of_any_pool(self):
         g = np.random.default_rng(0)

@@ -465,7 +465,7 @@ class TestSolveFgwot:
         # a training solve: two clips of 32 sampled frames at the default
         # r 0.02 (band radius 0) with the virtual frame. The solve is decided
         # structure-free before the outer loop: one check, one entropic solve,
-        # and the structural product at most once, for the objective
+        # and no structural product, not even for the objective
         rng = np.random.default_rng(3)
         hyper = Hyperparams()
         bundle = build_cost_bundle(rng.normal(size=(32, 16)), rng.normal(size=(32, 16)), hyper)
@@ -483,8 +483,39 @@ class TestSolveFgwot:
         c = solve_fgwot(bundle, hyper)
         assert len(checks) == 1
         assert len(solves) == 1
-        assert len(products) <= 1
+        assert len(products) == 0
         assert (c.outer_iterations, c.final_delta, c.converged) == (1, 0.0, True)
+
+    @pytest.mark.parametrize("virtual", [False, True])
+    @pytest.mark.parametrize("alpha, n, r", [(0.0, 12, 0.1), (0.3, 32, 0.02)],
+                             ids=["alpha-zero", "radius-zero"])
+    def test_structure_free_objective_keeps_its_bits(self, rng, monkeypatch, alpha, n, r,
+                                                     virtual):
+        # the objective as it was computed with the structural product, also
+        # where the product is zero; an empty band now skips the product
+        bundle, hyper = _bundle(rng, n=n, m=n + 1, virtual=virtual, r=r)
+        hyper = replace(hyper, alpha=alpha)
+        rows, cols = bundle.n_real, bundle.m_real
+        product_of = kernels.banded_gw_product
+        products = _count_calls(monkeypatch, "banded_gw_product")
+        c = solve_fgwot(bundle, hyper)
+        assert len(products) == (bundle.band_x.radius > 0) == (alpha == 0.0)
+        t = c.T
+        product = np.zeros_like(t)
+        product[:rows, :cols] = product_of(t[:rows, :cols], bundle.band_x.radius,
+                                           bundle.band_y.radius, bundle.band_x.value)
+        buf = np.empty(t.shape)
+        kot = float(np.sum(np.multiply(bundle.C_tilde, t, out=buf)))
+        gw = float(np.sum(np.multiply(product, t, out=buf)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(t, np.log(t, out=buf), out=buf)
+        buf[~(t > 0)] = 0.0
+        entropy = float(-np.sum(buf))
+        total = (1.0 - alpha) * kot + alpha * gw - hyper.epsilon * entropy
+        parts = fgwot_objective(bundle, t, alpha, hyper.epsilon)
+        got = [c.objective_trace[0], parts.kot, parts.gw, parts.entropy, parts.total]
+        want = [total, kot, gw, entropy, total]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_feasibility_of_fused_solution(self, seed):
