@@ -287,7 +287,9 @@ class Hyperparams:
     _TOL, _INNER_TOL) and the forcing term of its inexact inner solves
     (solver._INNER_FORCING), the Sinkhorn kernel's check period and
     extrapolation bound (kernels._CHECK and _RHO_MIN, in
-    kernels.sinkhorn_log), and Adam's weight decay (training._WEIGHT_DECAY).
+    kernels.sinkhorn_log), Adam's weight decay (training._WEIGHT_DECAY),
+    and segment's k-means runs and Lloyd-round cap (segmentation._RESTARTS
+    and _LLOYD_ITERS) and background trim cut (segmentation._TRIM).
     """
 
     k: int = 7

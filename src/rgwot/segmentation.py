@@ -13,7 +13,9 @@ Background is found in the embedding, with no alignment solve: frames far
 from every center of a first clustering of the whole pool are outliers by
 the median/MAD rule (Leys et al. 2013), and the centers are then taken
 again from the remaining frames, as k-means-- does (Chawla and Gionis
-2013). Those frames are labelled BACKGROUND after smoothing.
+2013). Those frames are labelled BACKGROUND after smoothing. The trim and
+the unaries read the squared distances of k-means' own arithmetic, one
+product of the centers with the whole pool per clustering.
 Key-step order within a video is the ascending mean normalized frame time
 of each label; the task-level order ranks per-video orders by frequency.
 """
@@ -151,7 +153,7 @@ def _kmeans_pp(pts: np.ndarray, sq: np.ndarray, k: int,
     centers[0] = pts[first]
     if k == 1:
         return centers
-    d2 = _seed_distances(pts, sq, pts[first:first + 1])[0]
+    d2 = _clipped_sq_distances(pts, sq, pts[first:first + 1])[0]
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -160,7 +162,7 @@ def _kmeans_pp(pts: np.ndarray, sq: np.ndarray, k: int,
             centers[c] = pts[rng.integers(n)]
             continue
         ids = rng.choice(n, size=trials, p=d2 / total)
-        dist = np.minimum(_seed_distances(pts, sq, pts[ids]), d2)
+        dist = np.minimum(_clipped_sq_distances(pts, sq, pts[ids]), d2)
         best = int(np.argmin(dist.sum(axis=1)))
         centers[c] = pts[ids[best]]
         d2 = dist[best]
@@ -179,9 +181,13 @@ def _sq_distances(pts: np.ndarray, sq: np.ndarray, rows: np.ndarray) -> np.ndarr
     return d2
 
 
-def _seed_distances(pts: np.ndarray, sq: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """_sq_distances clipped at 0, which rounding crosses near c; rng.choice needs weights >= 0."""
-    d2 = _sq_distances(pts, sq, cands)
+def _clipped_sq_distances(pts: np.ndarray, sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_sq_distances clipped at 0, which rounding crosses near a row c.
+
+    The seeding's D^2 weights (rng.choice needs weights >= 0), and in
+    segment_task the trim's distances and the Potts unaries.
+    """
+    d2 = _sq_distances(pts, sq, rows)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -355,34 +361,16 @@ class SegmentationResult:
     centers: np.ndarray
 
 
-def _unary_costs(e: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distance of every frame in e to every center, (N, k).
-
-    Filled one center at a time in one N x d work buffer: each entry sums
-    the same d contiguous squares as the N x k x d difference would, bit for
-    bit, without its two N x k x d temporaries.
-    """
-    unary = np.empty((e.shape[0], centers.shape[0]))
-    work = np.empty_like(e)
-    for c, center in enumerate(centers):
-        np.subtract(e, center, out=work)
-        np.multiply(work, work, out=work)
-        unary[:, c] = np.sum(work, axis=1)
-    return unary
-
-
-def _far_frames(embeddings: list[np.ndarray], centers: np.ndarray) -> np.ndarray:
-    """Mask of the frames whose squared distance to the nearest center is an
-    outlier, over the frames of all the embeddings in order.
+def _far_frames(nearest: np.ndarray) -> np.ndarray:
+    """Mask of the frames whose squared distance to the nearest center, given
+    in nearest, is an outlier.
 
     The cut is median + _TRIM * 1.4826 * MAD of those distances. It lies at
     or above the median, so at most half of the frames are flagged, also
-    when the MAD is 0. The distances are taken a video at a time, so the
-    work buffer of _unary_costs is never pool-sized.
+    when the MAD is 0.
     """
-    d = np.concatenate([_unary_costs(e, centers).min(axis=1) for e in embeddings])
-    median = np.median(d)
-    return d > median + _TRIM * 1.4826 * np.median(np.abs(d - median))
+    median = np.median(nearest)
+    return nearest > median + _TRIM * 1.4826 * np.median(np.abs(nearest - median))
 
 
 def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
@@ -398,32 +386,40 @@ def segment_task(videos: list[FrameFeatures], enc: Encoder, k: int,
     trim. Either way no alignment is solved.
 
     The videos are encoded into one (total frames, embed_dim) float64
-    buffer, of which each video's embeddings are a row view. k-means
-    clusters that buffer itself, and a copy of its unflagged rows when a
-    frame is flagged; these are the only N x embed_dim arrays made.
+    buffer. k-means clusters that buffer itself, and a copy of its
+    unflagged rows when a frame is flagged; these are the only N x embed_dim
+    arrays made. Each clustering gives one (k, total frames) matrix of
+    squared distances from one product (_clipped_sq_distances): the trim
+    reads its column minima, and each video's Potts unary is its columns,
+    transposed. When the trim flags nothing, the first clustering's matrix
+    is the unary.
     """
     _check_potts_weight(beta)  # before the clustering, not after
     frames = np.empty((sum(v.n_frames for v in videos), enc.embed_dim))
-    embeddings = []
     start = 0
     for v in videos:
-        embeddings.append(enc.forward(v.data, out=frames[start:start + v.n_frames])[0])
+        enc.forward(v.data, out=frames[start:start + v.n_frames])
         start += v.n_frames
+    sq = _row_sq_norms(frames)
     centers = init_centers(frames, k, rng)
+    dist = _clipped_sq_distances(frames, sq, centers)
     trim = use_masks and hyper.zeta > 0
-    flagged = _far_frames(embeddings, centers) if trim else np.zeros(len(frames), dtype=bool)
+    flagged = _far_frames(dist.min(axis=0)) if trim else np.zeros(len(frames), dtype=bool)
     if flagged.any():
         centers = init_centers(frames[~flagged], k, rng)
+        dist = _clipped_sq_distances(frames, sq, centers)
 
     label_seqs = []
     orders = []
     relabelled = []
-    far = np.split(flagged, np.cumsum([e.shape[0] for e in embeddings])[:-1])
-    for video, e, mask in zip(videos, embeddings, far):
-        unary = _unary_costs(e, centers)
+    start = 0
+    for video in videos:
+        rows = slice(start, start + video.n_frames)
+        start = rows.stop
+        unary = dist[:, rows].T
         labels, _ = alpha_expansion(GraphCutProblem(unary=unary, pairwise_weight=beta))
         relabelled.append(int(np.count_nonzero(labels != np.argmin(unary, axis=1))))
-        labels[mask] = BACKGROUND
+        labels[flagged[rows]] = BACKGROUND
         label_seqs.append(LabelSequence(video_id=video.video_id, labels=labels))
         if np.any(labels != BACKGROUND):
             orders.append(tuple(keystep_order(labels)))

@@ -59,10 +59,18 @@ def loss_and_param_grads(encoder: Encoder, clip_x: np.ndarray, clip_y: np.ndarra
                          t_star: np.ndarray, masks, hyper: Hyperparams,
                          positions_x=None, positions_y=None):
     """Loss report and parameter gradients for a fixed real-frame plan (masks must be None)."""
-    clips, hidden, ex, ey = _encode_pair(encoder, clip_x, clip_y)
+    return _backprop_loss(encoder, _encode_pair(encoder, clip_x, clip_y), t_star, masks,
+                          hyper, positions_x, positions_y)
+
+
+def _backprop_loss(encoder: Encoder, encoded, t_star: np.ndarray, masks, hyper: Hyperparams,
+                   positions_x, positions_y, out=None):
+    """(report, grads): the loss of _encode_pair's encoded clips against t_star,
+    and its parameter gradients, written into out when it is given."""
+    clips, hidden, ex, ey = encoded
     report = total_loss(ex, ey, t_star, masks, hyper, positions_x, positions_y)
     grad_out = np.concatenate((report.grad_x, report.grad_y))
-    return report, encoder.backward(clips, hidden, grad_out)
+    return report, encoder.backward(clips, hidden, grad_out, out)
 
 
 def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
@@ -75,12 +83,11 @@ def train_step(encoder: Encoder, adam: AdamState, feats_x: FrameFeatures,
     """
     idx_x = sample_frames(feats_x.n_frames, min(hyper.sampled_frames, feats_x.n_frames), rng)
     idx_y = sample_frames(feats_y.n_frames, min(hyper.sampled_frames, feats_y.n_frames), rng)
-    clips, hidden, ex, ey = _encode_pair(encoder, feats_x.data[idx_x], feats_y.data[idx_y])
-    coupling = solve_fgwot(build_cost_bundle(ex, ey, hyper), hyper)
-    report = total_loss(ex, ey, coupling.real, None, hyper,
-                        idx_x.astype(np.float64), idx_y.astype(np.float64))
-    grad_out = np.concatenate((report.grad_x, report.grad_y))
-    grads = encoder.backward(clips, hidden, grad_out, adam.grads)
+    encoded = _encode_pair(encoder, feats_x.data[idx_x], feats_y.data[idx_y])
+    coupling = solve_fgwot(build_cost_bundle(*encoded[2:], hyper), hyper)
+    report, grads = _backprop_loss(encoder, encoded, coupling.real, None, hyper,
+                                   idx_x.astype(np.float64), idx_y.astype(np.float64),
+                                   adam.grads)
     adam_update(encoder, adam, grads, hyper.learning_rate, _WEIGHT_DECAY)
     return report, coupling
 

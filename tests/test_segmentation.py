@@ -445,7 +445,7 @@ class TestInitCenters:
 
 
 def parent_seed_distances(pts, sq, cands):
-    """_seed_distances as one expression, before it shared _sq_distances."""
+    """_clipped_sq_distances as one expression, before it shared _sq_distances."""
     d2 = sq - 2.0 * (cands @ pts.T) + np.sum(cands * cands, axis=1)[:, None]
     return np.maximum(d2, 0.0, out=d2)
 
@@ -493,7 +493,7 @@ class TestSquaredDistances:
                 raw = segmentation._sq_distances(pts, sq, cands)
                 clipped += int(np.count_nonzero(raw < 0.0))
                 want = parent_seed_distances(pts, sq, cands)
-                got = segmentation._seed_distances(pts, sq, cands)
+                got = segmentation._clipped_sq_distances(pts, sq, cands)
                 assert got.shape == (cands.shape[0], n)
                 assert got.tobytes() == want.tobytes(), i
         assert clipped > 0  # the clip at 0 acted somewhere
@@ -799,17 +799,6 @@ def blob_videos(n_videos=3, frames_per_step=12, dim=8, noise=0.02, seed=0):
     return videos
 
 
-class TestUnaryCosts:
-    @pytest.mark.parametrize("d", [1, 3, 24, 127, 128, 129, 300])
-    def test_same_bytes_as_the_three_dimensional_difference(self, d):
-        g = np.random.default_rng(d)
-        for n, k in [(1, 1), (5, 7), (260, 7), (33, 3)]:
-            e = g.normal(size=(n, d)) * g.uniform(0.1, 100.0)
-            centers = g.normal(size=(k, d))
-            want = np.sum((e[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-            assert segmentation._unary_costs(e, centers).tobytes() == want.tobytes(), (n, k)
-
-
 def parent_segment_task(videos, enc, k, beta, masks, rng):
     """segment_task's clustering and labeling as they were: a new array per
     video's embeddings, the pool their unmasked rows concatenated, and the
@@ -873,7 +862,7 @@ class TestSegmentTask:
         if masking == "one video whole":
             masks[1][:] = True
         monkeypatch.setattr(segmentation, "_far_frames",
-                            lambda embeddings, centers: np.concatenate(masks))
+                            lambda nearest: np.concatenate(masks))
         hyper = Hyperparams(embed_dim=16, hidden_dim=32, zeta=0.5)
         res = segment_task(videos, enc, k=5, beta=2.0, hyper=hyper,
                            rng=np.random.default_rng(6), use_masks=masking != "none")
@@ -930,8 +919,8 @@ class TestSegmentTask:
         assert len(res.relabelled) == len(videos)
         assert res.centers.shape == (3, 8)
         for video, seq, relabelled in zip(videos, res.labels, res.relabelled):
-            unary = segmentation._unary_costs(axis_encoder(8).forward(video.data)[0],
-                                              res.centers)
+            e = axis_encoder(8).forward(video.data)[0]
+            unary = np.sum((e[:, None, :] - res.centers[None, :, :]) ** 2, axis=2)
             assert relabelled == np.count_nonzero(seq.labels != np.argmin(unary, axis=1))
         assert res.task_order == tuple(rank_orders([list(o) for o in res.orders]))
 
@@ -992,6 +981,19 @@ class TestSegmentTask:
         flagged = sum(int(np.count_nonzero(s.labels == BACKGROUND)) for s in res.labels)
         assert res.flagged == flagged <= 0.05 * 600, flagged
 
+    def test_trim_that_flags_nothing_changes_nothing(self):
+        # with no frame flagged, the first clustering's distances are the
+        # unaries: the same labels, centers and relabelled as without the trim
+        videos = step_videos(4, 150, 24, 5, seed=0)
+        on, off = (segment_task(videos, axis_encoder(24), k=7, beta=30.0, hyper=Hyperparams(),
+                                rng=np.random.default_rng(3), use_masks=masks)
+                   for masks in (True, False))
+        assert on.flagged == 0 and off.flagged is None
+        assert on.centers.tobytes() == off.centers.tobytes()
+        assert on.relabelled == off.relabelled and sum(on.relabelled) > 0
+        for a, b in zip(on.labels, off.labels):
+            assert a.labels.tobytes() == b.labels.tobytes()
+
     def test_flags_at_most_half_of_any_pool(self):
         g = np.random.default_rng(0)
         mad_zero = 0
@@ -1004,10 +1006,11 @@ class TestSegmentTask:
                 pts = pts[pick.min(axis=0)]
             k = int(g.integers(1, np.unique(pts, axis=0).shape[0] + 1))
             centers = init_centers(pts, k, g)
-            flagged = segmentation._far_frames([pts], centers)
+            sq = np.sum(pts * pts, axis=1)
+            dist = segmentation._clipped_sq_distances(pts, sq, centers).min(axis=0)
+            flagged = segmentation._far_frames(dist)
             assert flagged.dtype == bool and flagged.shape == (n,)
             assert 2 * np.count_nonzero(flagged) <= n, (trial, np.count_nonzero(flagged), n)
-            dist = segmentation._unary_costs(pts, centers).min(axis=1)
             mad_zero += np.median(np.abs(dist - np.median(dist))) == 0
         assert mad_zero > 20  # the duplicate pools reach the MAD-0 edge
 
